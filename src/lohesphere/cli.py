@@ -230,10 +230,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
     )
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config contains the non-finite constant {name}")
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:

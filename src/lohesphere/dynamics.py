@@ -102,11 +102,13 @@ def disagreement(graph: CouplingGraph, z: np.ndarray) -> float:
     once. Zero exactly on phase-synchronized configurations.
     """
     z = _check_config(graph, z)
-    total = 0.0
-    for (i, j), k in zip(graph.edges, graph.gains):
-        diff = z[i] - z[j]
-        total += k * float(diff @ diff)
-    return total
+    i, j, k = graph.edge_arrays
+    if len(k) == 0:
+        return 0.0
+    diff = z[i] - z[j]
+    # cumsum adds the edge terms one at a time in edge order, as a scalar
+    # loop does; np.sum adds in blocks and would move V in its last digits
+    return float(np.cumsum(k * np.vecdot(diff, diff))[-1])
 
 
 def disagreement_gradient(graph: CouplingGraph, z: np.ndarray) -> np.ndarray:

@@ -77,6 +77,16 @@ class CouplingGraph:
         W.setflags(write=False)
         return W
 
+    @cached_property
+    def edge_arrays(self) -> tuple:
+        """Read-only arrays (i, j, k) of endpoints and gains, parallel to edges."""
+        i = np.array([e[0] for e in self.edges], dtype=np.intp)
+        j = np.array([e[1] for e in self.edges], dtype=np.intp)
+        k = np.array(self.gains, dtype=float)
+        for a in (i, j, k):
+            a.setflags(write=False)
+        return i, j, k
+
     def neighbors(self, i: int) -> list:
         """Zero-based neighbor list of zero-based node i."""
         out = []

@@ -23,7 +23,7 @@ from .dynamics import (
     hetero_rhs,
     kuramoto_rhs,
 )
-from .geometry import pairwise_angle, random_unit
+from .geometry import random_unit
 from .network import CouplingGraph
 from .spectral import configuration_tangent_basis, fd_jacobian
 
@@ -101,10 +101,12 @@ def _rk4_step(system: LoheSystem, x: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _edge_angles(graph: CouplingGraph, x: np.ndarray):
-    if not graph.edges:
+    i, j, _ = graph.edge_arrays
+    if len(i) == 0:
         return 0.0, 0.0
-    angles = [pairwise_angle(x[i], x[j]) for i, j in graph.edges]
-    return min(angles), max(angles)
+    # same clamp-then-arccos as geometry.pairwise_angle, over all edges at once
+    angles = np.arccos(np.clip(np.vecdot(x[i], x[j]), -1.0, 1.0))
+    return float(angles.min()), float(angles.max())
 
 
 def integrate(
@@ -119,9 +121,10 @@ def integrate(
 
     Samples are taken at t = 0, every sample_every steps, and at t_end.
     The final step is shortened when t_end is not a multiple of dt.
-    radius_iters controls the ascent budget of the per-sample cap radius;
-    it is smaller than the sync_radius default because the radius is
-    evaluated at every sample.
+    radius_iters is the ascent budget of the per-sample cap radius. It
+    matters only for dispersed samples: a cohesive sample's radius comes
+    exactly from the hull, whatever the budget. It is smaller than the
+    sync_radius default because the radius is evaluated at every sample.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -211,14 +214,22 @@ def _equalize_candidates(x: np.ndarray, y: np.ndarray, rounds: int = 60):
     shrinks geometrically), and proposes two closed-form centers: the
     direction equalizing the inner products over the band, and the
     band's null direction when it is degenerate. Proposals are accepted
-    only when they improve the true objective min_i <x_i, y>.
+    only when they improve the true objective min_i <x_i, y>. The
+    proposals depend on the band alone and the accepted value only
+    grows, so a band already proposed from is skipped.
     """
     best = float(np.min(x @ y))
     width = 0.5
+    seen = set()
     for _ in range(rounds):
         scores = x @ y
         m = float(np.min(scores))
         active = np.where(scores <= m + width)[0]
+        width *= 0.5
+        band = tuple(active)
+        if band in seen:
+            continue
+        seen.add(band)
         A = x[active]
         proposals = []
         G = A @ A.T
@@ -241,20 +252,25 @@ def _equalize_candidates(x: np.ndarray, y: np.ndarray, rounds: int = 60):
             if val > best:
                 best = val
                 y = cand
-        width *= 0.5
     return best, y
 
 
 def sync_radius(x: np.ndarray, iters: int = 500) -> float:
     """Angular radius of the smallest spherical cap containing all agents.
 
-    Computed as arccos of max over unit y of min_i <x_i, y>. The search
-    runs projected subgradient ascent with step 1/sqrt(k) from the
-    normalized mean and eight seeded random restarts, keeps the best
-    iterate, seeds one candidate from the hull minimum-norm direction
-    (exact for cohesive configurations by LP duality), and finishes with
-    a deterministic equalization polish. Deterministic in x; the result
-    is an upper bound on the true radius and nonincreasing in iters.
+    Defined as arccos of max over unit y of min_i <x_i, y>. The hull
+    minimum-norm point p is solved first. When p != 0 and every agent
+    lies strictly on the positive side of y = p/|p|, the configuration
+    is cohesive and the result is arccos(min_i <x_i, y>): exact by LP
+    duality when p is optimal, and an upper bound otherwise, with no
+    dependence on iters. Otherwise the configuration is dispersed, so
+    the radius is at least pi/2 (unless the hull solve stopped at its
+    iteration cap), and a search bounds it from above:
+    projected subgradient ascent with step 1/sqrt(k) for iters steps
+    from the normalized mean and eight seeded random restarts, then a
+    deterministic equalization polish of the three best iterates. That
+    bound is nonincreasing in iters. Deterministic in x; the result lies
+    in [0, pi].
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -262,6 +278,13 @@ def sync_radius(x: np.ndarray, iters: int = 500) -> float:
     N, d = x.shape
     if N == 1:
         return 0.0
+
+    p, _ = hull.min_norm_point(x)
+    pn = np.linalg.norm(p)
+    if pn > 0:
+        v = float(np.min(x @ (p / pn)))
+        if v > 0:
+            return float(np.arccos(min(v, 1.0)))
 
     starts = []
     mean = x.mean(axis=0)
@@ -274,35 +297,31 @@ def sync_radius(x: np.ndarray, iters: int = 500) -> float:
     candidates = []
     for y0 in starts:
         y = y0
-        best_val = float(np.min(x @ y))
+        scores = x @ y
+        best_val = float(scores.min())
         best_y = y
         for k in range(1, iters + 1):
             step = 1.0 / math.sqrt(k)
-            g = x[int(np.argmin(x @ y))]
+            g = x[scores.argmin()]
             z = y + step * g
-            zn = np.linalg.norm(z)
+            zn = math.sqrt(z @ z)
             if zn <= 1e-12:
                 # antipodal push, shorten the step
                 z = y + 0.5 * step * g
-                zn = np.linalg.norm(z)
+                zn = math.sqrt(z @ z)
                 if zn <= 1e-12:
                     continue
             y = z / zn
-            val = float(np.min(x @ y))
+            scores = x @ y
+            val = float(scores.min())
             if val > best_val:
                 best_val = val
                 best_y = y
         candidates.append((best_val, best_y))
 
-    p, _ = hull.min_norm_point(x)
-    pn = np.linalg.norm(p)
-    if pn > 1e-12:
-        y = p / pn
-        candidates.append((float(np.min(x @ y)), y))
-
     candidates.sort(key=lambda c: c[0], reverse=True)
-    best_val, best_y = candidates[0]
-    for val, y in candidates[:3]:
+    best_val = candidates[0][0]
+    for _, y in candidates[:3]:
         pv, _ = _equalize_candidates(x, y)
         if pv > best_val:
             best_val = pv

@@ -96,6 +96,22 @@ def test_unreadable_and_malformed_config(tmp_path, capsys, monkeypatch):
     assert "config error" in err
 
 
+def test_non_finite_json_constants_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    t_end_inf = json.dumps(_base_cfg()).replace('"t_end": 60.0', '"t_end": Infinity')
+    nan_point = json.dumps(
+        _base_cfg(init={"mode": "explicit", "points": [[1.0, 0.0, 0.0]] * 5})
+    ).replace("[1.0, 0.0, 0.0]]", "[NaN, 0.0, 0.0]]", 1)
+    for text in (t_end_inf, nan_point):
+        assert "Infinity" in text or "NaN" in text
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "non-finite" in err
+        assert "Traceback" not in err
+
+
 def test_simulate_homogeneous_path_syncs(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = _write(tmp_path, _base_cfg())

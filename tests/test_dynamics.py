@@ -253,3 +253,20 @@ def test_random_configuration_unit_rows():
     x = random_configuration(np.random.default_rng(13), 6, 4)
     assert x.shape == (6, 5)
     assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= 1e-12
+
+
+def test_disagreement_matches_edge_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        N = int(rng.integers(2, 30))
+        n = int(rng.integers(1, 5))
+        triples = [(i, i + 1, float(rng.uniform(0.1, 3.0))) for i in range(1, N)]
+        if N > 2:
+            triples.append((1, N, float(rng.uniform(0.1, 3.0))))
+        g = from_edge_list(N, triples)
+        z = random_configuration(rng, N, n)
+        loop = 0.0
+        for (i, j), k in zip(g.edges, g.gains):
+            diff = z[i] - z[j]
+            loop += k * float(diff @ diff)
+        assert abs(disagreement(g, z) - loop) <= 1e-12 * max(loop, 1.0)

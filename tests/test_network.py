@@ -134,3 +134,14 @@ def test_weight_matrix_symmetric_and_zero_diagonal():
     assert np.array_equal(W, W.T)
     assert np.all(np.diag(W) == 0)
     assert W[0, 1] == 1.5 and W[2, 3] == 2.0
+
+
+def test_edge_arrays_parallel_to_edges():
+    g = from_edge_list(4, [(1, 2, 1.5), (2, 3, 0.5), (3, 4, 2.0), (1, 4, 1.0)])
+    i, j, k = g.edge_arrays
+    assert list(zip(i.tolist(), j.tolist())) == list(g.edges)
+    assert k.tolist() == list(g.gains)
+    with pytest.raises(ValueError):
+        k[0] = 0.0
+    i, j, k = CouplingGraph(n_nodes=1, edges=(), gains=()).edge_arrays
+    assert len(i) == len(j) == len(k) == 0

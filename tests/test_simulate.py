@@ -14,17 +14,19 @@ from lohesphere.dynamics import (
     zero_frequencies,
 )
 from lohesphere.network import complete_graph, cycle_graph, path_graph, CouplingGraph
+from lohesphere.geometry import pairwise_angle
 from lohesphere.simulate import (
     EquilibriumResult,
     IntegrationDiverged,
     Trajectory,
+    _edge_angles,
     find_equilibrium,
     integrate,
     integrate_kuramoto,
     is_practically_synced,
     sync_radius,
 )
-from lohesphere.stability import twisted_state
+from lohesphere.stability import is_dispersed, twisted_state
 from lohesphere import hull
 
 
@@ -239,6 +241,42 @@ def test_sync_radius_range_and_single_agent():
         r = sync_radius(x, iters=80)
         assert 0.0 <= r <= math.pi
     assert sync_radius(np.array([[0.0, 0.0, 1.0]])) == 0.0
+
+
+def test_sync_radius_cohesive_is_hull_value_for_any_budget():
+    # a cohesive radius comes from the hull direction alone, so the ascent
+    # budget cannot change it
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        d = int(rng.integers(2, 6))
+        center = rng.standard_normal(d)
+        center /= np.linalg.norm(center)
+        x = center + rng.uniform(0.05, 0.6) * rng.standard_normal((int(rng.integers(2, 10)), d))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        p, _ = hull.min_norm_point(x)
+        expected = float(np.arccos(min(float(np.min(x @ (p / np.linalg.norm(p)))), 1.0)))
+        assert sync_radius(x, iters=1) == sync_radius(x, iters=500) == expected
+
+
+def test_sync_radius_below_half_pi_exactly_when_cohesive():
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        x = random_configuration(rng, int(rng.integers(2, 13)), int(rng.integers(1, 5)))
+        r = sync_radius(x)
+        assert 0.0 <= r <= math.pi
+        assert (r < math.pi / 2) == (not is_dispersed(x).dispersed)
+
+
+def test_edge_angles_match_pairwise_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        N = int(rng.integers(2, 12))
+        g = complete_graph(N)
+        x = random_configuration(rng, N, int(rng.integers(1, 4)))
+        angles = [pairwise_angle(x[i], x[j]) for i, j in g.edges]
+        lo, hi = _edge_angles(g, x)
+        assert abs(lo - min(angles)) <= 1e-15 and abs(hi - max(angles)) <= 1e-15
+    assert _edge_angles(CouplingGraph(n_nodes=1, edges=(), gains=()), np.ones((1, 3))) == (0.0, 0.0)
 
 
 def test_sync_radius_rejects_bad_shape():
