@@ -31,6 +31,7 @@ class ConfigError(ValueError):
 
 _GRAPH_TYPES = ("path", "cycle", "complete", "edges")
 _TOP_KEYS = {"graph", "n", "frequencies", "init", "integrate", "analysis", "seed", "out", "sweep"}
+MAX_STEPS = 10**8  # largest RK4 step count t_end / dt that a config may ask for
 
 
 def _require_keys(section: dict, allowed: set, where: str) -> None:
@@ -201,6 +202,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
         "t_end": _as_positive_number(integ.get("t_end", 100.0), "integrate.t_end"),
         "sample_every": _as_int(integ.get("sample_every", 100), "integrate.sample_every", 1),
     }
+    steps = integ["t_end"] / integ["dt"]
+    if not steps <= MAX_STEPS:  # also rejects inf and nan
+        raise ConfigError(f"integrate.t_end / integrate.dt must be finite and <= {MAX_STEPS}, "
+                          f"got {steps!r}")
 
     analysis = raw.get("analysis", {})
     if not isinstance(analysis, dict):
@@ -317,6 +322,11 @@ def _build_all(cfg: ExperimentConfig, rng):
     return system, x0
 
 
+def _require_certificate_dim(ns) -> None:
+    if min(ns) < 2:  # the frequency budget theorem_rhs is defined for n >= 2 only
+        raise ConfigError(f"the instability certificate needs n >= 2, got n = {min(ns)}")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
@@ -327,6 +337,8 @@ def _fmt_bool(b: bool) -> str:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Integrate one trajectory, write CSV + final JSON, print a summary."""
+    if any(cfg.analysis.values()):
+        _require_certificate_dim([cfg.n])
     rng = np.random.default_rng(cfg.seed)
     system, x0 = _build_all(cfg, rng)
     traj = integrate(
@@ -370,6 +382,7 @@ def cmd_linearize(cfg: ExperimentConfig) -> int:
     candidate equilibria and refined locally by Newton polish alone;
     random starts get the full integrate-then-polish budget.
     """
+    _require_certificate_dim([cfg.n])
     rng = np.random.default_rng(cfg.seed)
     system, x0 = _build_all(cfg, rng)
     local_start = cfg.init["mode"] in ("twisted", "explicit")
@@ -444,6 +457,7 @@ def cmd_sweep(cfg: ExperimentConfig, sweep: dict) -> int:
         raise ConfigError("sweep command needs a sweep section in the config")
     if sweep["var"] == "omega_total" and cfg.frequencies["mode"] == "explicit":
         raise ConfigError("sweep over omega_total requires non-explicit frequencies")
+    _require_certificate_dim(sweep["values"] if sweep["var"] == "n" else [cfg.n])
     base = {
         "graph": cfg.graph, "n": cfg.n, "frequencies": cfg.frequencies,
         "init": cfg.init, "integrate": cfg.integrate, "analysis": cfg.analysis,

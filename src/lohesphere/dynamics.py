@@ -70,6 +70,14 @@ def _check_config(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_state(system: LoheSystem, x: np.ndarray) -> np.ndarray:
+    x = _check_config(system.graph, x)
+    if x.shape[1] != system.sphere_dim + 1:
+        raise ValueError(f"dimension mismatch: points in R^{x.shape[1]}, "
+                         f"frequencies in R^{system.sphere_dim + 1}")
+    return x
+
+
 def _coupling_field(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     # (I - x_i x_i^T) S_i with S_i the gain-weighted neighbor sum
     S = W @ x
@@ -85,12 +93,7 @@ def homo_rhs(graph: CouplingGraph, z: np.ndarray) -> np.ndarray:
 
 def hetero_rhs(system: LoheSystem, x: np.ndarray) -> np.ndarray:
     """Full field: per-agent rotation drift plus the coupling term."""
-    x = _check_config(system.graph, x)
-    if x.shape[1] != system.sphere_dim + 1:
-        raise ValueError(
-            f"dimension mismatch: points in R^{x.shape[1]}, frequencies in "
-            f"R^{system.sphere_dim + 1}"
-        )
+    x = _check_state(system, x)
     drift = np.einsum("nij,nj->ni", system.omegas, x)
     return drift + _coupling_field(system.graph.weight_matrix, x)
 
@@ -172,10 +175,8 @@ def random_frequencies(
     if total_norm < 0:
         raise ValueError(f"total norm must be >= 0, got {total_norm}")
     d = n + 1
-    om = np.empty((n_agents, d, d))
-    for i in range(n_agents):
-        G = rng.standard_normal((d, d))
-        om[i] = (G - G.T) / 2.0
+    G = rng.standard_normal((n_agents, d, d))  # same stream as one (d, d) draw per agent
+    om = (G - np.transpose(G, (0, 2, 1))) / 2.0
     if total_norm == 0.0:
         return np.zeros((n_agents, d, d))
     current = frequency_total_norm(om)

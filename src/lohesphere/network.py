@@ -70,10 +70,10 @@ class CouplingGraph:
     @cached_property
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric (N, N) matrix of gains, zero off edges."""
+        i, j, k = self.edge_arrays
         W = np.zeros((self.n_nodes, self.n_nodes))
-        for (i, j), k in zip(self.edges, self.gains):
-            W[i, j] = k
-            W[j, i] = k
+        W[i, j] = k
+        W[j, i] = k
         W.setflags(write=False)
         return W
 
@@ -89,13 +89,8 @@ class CouplingGraph:
 
     def neighbors(self, i: int) -> list:
         """Zero-based neighbor list of zero-based node i."""
-        out = []
-        for (a, b), _ in zip(self.edges, self.gains):
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        a, b, _ = self.edge_arrays
+        return sorted(b[a == i].tolist() + a[b == i].tolist())
 
 
 def _canonical(n_nodes: int, pairs, gains) -> CouplingGraph:

@@ -25,7 +25,7 @@ from .dynamics import (
 )
 from .geometry import random_unit
 from .network import CouplingGraph
-from .spectral import configuration_tangent_basis, fd_jacobian
+from .spectral import assemble_A, configuration_tangent_basis
 
 
 class IntegrationDiverged(RuntimeError):
@@ -367,8 +367,9 @@ def find_equilibrium(
     Integrates the flow until the residual max_i |rhs_i| falls below
     10 * tol or the time budget runs out (max_time = 0 skips straight to
     the polish), then applies damped Newton steps in tangent coordinates
-    using the finite-difference Jacobian. The lowest-residual state seen
-    anywhere is kept, so a failed polish cannot lose ground.
+    with the exact Jacobian T^T A T (A differs from the field's derivative
+    only in normal directions). The lowest-residual state seen anywhere is
+    kept, so a failed polish cannot lose ground.
     """
     x = np.array(x0, dtype=float)
     x = x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -392,25 +393,23 @@ def find_equilibrium(
             best_x, best_res = x.copy(), res
 
     x, res = best_x.copy(), best_res
-    N, d = x.shape
     accepted = 0
     for _ in range(newton_iters):
         if res <= tol:
             break
-        F = hetero_rhs(system, x).reshape(N * d)
-        J = fd_jacobian(system, x)
         T = configuration_tangent_basis(x)
-        Jt = J @ T
+        F = T.T @ hetero_rhs(system, x).ravel()
+        J = T.T @ assemble_A(system, x) @ T
         # Tikhonov damping handles the rotational degeneracy of equilibria
-        lhs = Jt.T @ Jt + 1e-8 * np.eye(T.shape[1])
-        rhs = -Jt.T @ F
+        lhs = J.T @ J + 1e-8 * np.eye(len(F))
+        rhs = -J.T @ F
         try:
             xi = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError:
             break
         moved = False
         for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64):
-            cand = x + damp * (T @ xi).reshape(N, d)
+            cand = x + damp * (T @ xi).reshape(x.shape)
             cand = cand / np.linalg.norm(cand, axis=1, keepdims=True)
             cres = _residual(system, cand)
             if cres < res:

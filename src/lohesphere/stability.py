@@ -71,10 +71,9 @@ def bound_f(graph: CouplingGraph, x: np.ndarray, n: int) -> float:
         raise ValueError(
             f"dimension mismatch: expected shape ({graph.n_nodes}, {n + 1}), got {x.shape}"
         )
-    total = 0.0
-    for (i, j), k in zip(graph.edges, graph.gains):
-        c = float(np.clip(x[i] @ x[j], -1.0, 1.0))
-        total += k * (n - 1 - c) * (1 - c)
+    i, j, k = graph.edge_arrays
+    c = np.clip(np.vecdot(x[i], x[j]), -1.0, 1.0)
+    total = float(k @ ((n - 1 - c) * (1 - c)))
     return 2.0 * total / (graph.n_nodes * (n + 1))
 
 

@@ -112,6 +112,32 @@ def test_non_finite_json_constants_exit_2(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, over",
+    [
+        ("linearize", {"n": 1, "init": {"mode": "twisted", "q": 1}}),
+        ("sweep", {"sweep": {"var": "n", "values": [2, 1]}}),
+        ("simulate", {"n": 1, "analysis": {"dispersed": True}}),
+    ],
+)
+def test_certificate_on_the_circle_exits_2(tmp_path, capsys, monkeypatch, command, over):
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, _base_cfg(**over))
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n >= 2" in err
+    assert not list(tmp_path.glob("run_*"))
+
+
+def test_unbounded_step_count_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for integ in ({"dt": 1e-3, "t_end": 1e308}, {"dt": 1e-300, "t_end": 1.0}):
+        path = _write(tmp_path, _base_cfg(integrate=integ))
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "t_end / integrate.dt" in err
+
+
 def test_simulate_homogeneous_path_syncs(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = _write(tmp_path, _base_cfg())

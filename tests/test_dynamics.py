@@ -237,6 +237,13 @@ def test_random_frequencies_deterministic():
     a = random_frequencies(np.random.default_rng(12), 4, 2, 1.0)
     b = random_frequencies(np.random.default_rng(12), 4, 2, 1.0)
     assert np.array_equal(a, b)
+    # the draw order is one (d, d) Gaussian per agent, as a per-agent loop takes it
+    rng = np.random.default_rng(12)
+    loop = np.empty((4, 3, 3))
+    for i in range(4):
+        G = rng.standard_normal((3, 3))
+        loop[i] = (G - G.T) / 2.0
+    assert np.array_equal(a, loop * (1.0 / frequency_total_norm(loop)))
 
 
 def test_lohe_system_validation():

@@ -343,6 +343,30 @@ def test_find_equilibrium_never_loses_ground():
     assert res.residual <= start + 1e-15
 
 
+def test_find_equilibrium_newton_needs_no_finite_differences(monkeypatch):
+    import lohesphere.simulate
+    import lohesphere.spectral
+
+    g = complete_graph(4, gain=1.0)
+    rng = np.random.default_rng(21)
+    sys = LoheSystem(g, random_frequencies(rng, 4, 2, total_norm=0.3))
+    x0 = random_configuration(rng, 4, 2) * 0.2 + np.array([0.0, 0.0, 1.0])
+    eq = find_equilibrium(sys, x0, tol=1e-12, max_time=60.0)
+    assert eq.converged
+
+    def no_fd(*args, **kwargs):
+        raise AssertionError("Newton must use the exact linearization")
+
+    monkeypatch.setattr(lohesphere.spectral, "fd_jacobian", no_fd)
+    monkeypatch.setattr(lohesphere.simulate, "fd_jacobian", no_fd, raising=False)
+    start = eq.config + 1e-3 * rng.standard_normal(eq.config.shape)
+    res = find_equilibrium(sys, start, tol=1e-10, max_time=0.0)
+    assert res.converged
+    assert res.residual <= 1e-10
+    assert 1 <= res.iterations <= 5
+    assert np.max(np.abs(res.config - eq.config)) <= 1e-8
+
+
 def test_kuramoto_identical_frequencies_hold_equal_angles():
     g = complete_graph(3, gain=1.0)
     omega = np.zeros(3)

@@ -8,10 +8,11 @@ import pytest
 from lohesphere.dynamics import (
     LoheSystem,
     homo_rhs,
+    random_configuration,
     random_frequencies,
     zero_frequencies,
 )
-from lohesphere.network import CouplingGraph, cycle_graph, path_graph
+from lohesphere.network import CouplingGraph, cycle_graph, from_edge_list, path_graph
 from lohesphere.stability import (
     BoundReport,
     bound_f,
@@ -108,6 +109,25 @@ def test_bound_f_on_even_twisted_equals_g1():
                 x = twisted_state(2 * m, 1, n)
                 f = bound_f(cycle_graph(2 * m, gain=K), x, n)
                 assert f == pytest.approx(g1(K, n, m), rel=1e-12)
+
+
+def test_bound_f_matches_edge_loop():
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        N = int(rng.integers(2, 15))
+        n = int(rng.integers(1, 4))
+        pairs = {(int(rng.integers(0, t)), t) for t in range(1, N)}
+        for _ in range(int(rng.integers(0, N))):
+            a, b = sorted(int(v) for v in rng.choice(N, size=2, replace=False))
+            pairs.add((a, b))
+        g = from_edge_list(N, [(a + 1, b + 1, float(rng.uniform(0.1, 3.0))) for a, b in pairs])
+        x = random_configuration(rng, N, n)
+        loop = 0.0
+        for (i, j), k in zip(g.edges, g.gains):
+            c = float(np.clip(x[i] @ x[j], -1.0, 1.0))
+            loop += k * (n - 1 - c) * (1 - c)
+        loop = 2.0 * loop / (N * (n + 1))
+        assert abs(bound_f(g, x, n) - loop) <= 1e-13 * max(abs(loop), 1.0)
 
 
 def test_bound_f_shape_mismatch():
