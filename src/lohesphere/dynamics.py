@@ -23,12 +23,22 @@ from .network import CouplingGraph
 SKEW_TOL = 1e-10
 
 
+def _check_skew(M: np.ndarray, what: str) -> None:
+    """Raise unless the square matrices on M's last two axes are skew.
+
+    The tolerance is SKEW_TOL relative to max(1, max|M|) over all of M.
+    """
+    scale = max(1.0, float(np.max(np.abs(M))))
+    if np.max(np.abs(M + np.swapaxes(M, -1, -2))) > SKEW_TOL * scale:
+        raise ValueError(f"{what} must be skew-symmetric")
+
+
 @dataclass(frozen=True)
 class LoheSystem:
     """A coupling graph together with per-agent frequency matrices.
 
     omegas has shape (N, d, d) and every slice must be skew-symmetric
-    within SKEW_TOL relative to its own scale; slices are antisymmetrized
+    within the tolerance of _check_skew; slices are antisymmetrized
     exactly at construction so downstream algebra can rely on it.
     """
 
@@ -48,9 +58,7 @@ class LoheSystem:
         d = om.shape[1]
         if d < 2:
             raise ValueError(f"ambient dimension must be >= 2, got {d}")
-        scale = max(1.0, float(np.max(np.abs(om))))
-        if np.max(np.abs(om + np.transpose(om, (0, 2, 1)))) > SKEW_TOL * scale:
-            raise ValueError("frequency matrices must be skew-symmetric")
+        _check_skew(om, "frequency matrices")
         om = (om - np.transpose(om, (0, 2, 1))) / 2.0
         om.setflags(write=False)
         object.__setattr__(self, "omegas", om)

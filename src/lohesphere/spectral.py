@@ -12,6 +12,10 @@ B is the linearization of the homogeneous field at its own equilibria;
 its largest eigenvalue beta controls instability there, and by a
 perturbation bound for skew perturbations of symmetric matrices the
 spectral abscissa of A stays within the total frequency norm of beta.
+With every Omega_i zero, A is B exactly: linearize then reads the whole
+spectrum of A off the symmetric solve that gives beta, so it is real and
+the Kahan gap is zero. Only heterogeneous systems pay for the dense
+nonsymmetric solve.
 
 Normal directions (each agent's own radial line) lie in the kernel of B
 by construction, so at a dispersed configuration the top eigenvalue of
@@ -26,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import LoheSystem, extended_rhs, frequency_total_norm, _check_config, _check_state
+from .dynamics import LoheSystem, extended_rhs, frequency_total_norm
+from .dynamics import _check_config, _check_skew, _check_state
 from .geometry import spectral_norm, tangent_basis
 from .network import CouplingGraph
 
@@ -134,16 +139,14 @@ def kahan_bound(B: np.ndarray, Y: np.ndarray, slack: float = 1e-8) -> KahanBound
     """Check |lambda_max(B) - abscissa(B + Y)| <= |Y|_2 for symmetric B, skew Y.
 
     Returns the measured gap, the bound |Y|_2, and whether the inequality
-    holds within slack. Raises if B is not symmetric or Y is not
-    skew-symmetric within SYM_TOL.
+    holds within slack. Raises if B is not symmetric within SYM_TOL or Y
+    is not skew-symmetric within SKEW_TOL.
     """
     B = np.asarray(B, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if B.shape != Y.shape or B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError(f"B and Y must be square with equal shape, got {B.shape} and {Y.shape}")
-    scale_y = max(1.0, float(np.max(np.abs(Y))))
-    if np.max(np.abs(Y + Y.T)) > SYM_TOL * scale_y:
-        raise ValueError("Y is not skew-symmetric")
+    _check_skew(Y, "Y")
     lam = symmetric_top_eigenvalue(B)
     absc = spectral_abscissa(B + Y)
     gap = abs(lam - absc)
@@ -172,11 +175,22 @@ class LinearizationReport:
 
 
 def linearize(system: LoheSystem, x: np.ndarray) -> LinearizationReport:
-    """Summarize the spectra of B and of A, which reuses B's buffer, at x."""
+    """Summarize the spectra of B and of A, which reuses B's buffer, at x.
+
+    With every Omega_i zero, A is B exactly, so spectrum_A is the symmetric
+    solve that gives beta, real and in descending order, and kahan_gap is 0.
+    Otherwise A's spectrum comes from the dense nonsymmetric eigenvalues.
+    """
     x = _check_state(system, x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("configuration has non-finite entries")
     M = assemble_B(system.graph, x)
-    beta = float(np.linalg.eigvalsh(M)[-1])
-    spec = eigenvalues(_add_frequency_blocks(system, M))
+    sym = np.linalg.eigvalsh(M)
+    beta = float(sym[-1])
+    if np.any(system.omegas):
+        spec = eigenvalues(_add_frequency_blocks(system, M))
+    else:
+        spec = sym[::-1].astype(complex)
     alpha = float(spec[0].real)
     return LinearizationReport(
         beta=beta,

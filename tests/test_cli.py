@@ -346,6 +346,35 @@ def test_sweep_over_agent_count(tmp_path, monkeypatch):
     assert all(float(ln.split(",")[2]) > 0 for ln in lines[1:])
 
 
+def test_sweep_names_unconverged_cells_on_stderr(tmp_path, capsys, monkeypatch):
+    # Both cells of this equilibrated sweep stop at the Newton budget.
+    monkeypatch.chdir(tmp_path)
+    cfg = {
+        "graph": {"type": "cycle", "N": 12, "k": 1.0},
+        "n": 2,
+        "init": {"mode": "twisted", "q": 1},
+        "frequencies": {"mode": "random", "total_norm": 0.3652, "units": "theorem_rhs"},
+        "sweep": {"var": "omega_total", "values": [0.3652, 1.5454], "trials": 1,
+                  "units": "theorem_rhs", "equilibrate": True},
+        "seed": 7,
+    }
+    path = _write(tmp_path, cfg)
+    assert main(["sweep", "--config", path]) == 0
+    err = capsys.readouterr().err.strip().split("\n")
+    rows = (tmp_path / "run_sweep.csv").read_text().strip().split("\n")
+    assert rows[0] == "value,seed,beta,alpha_re,premise_holds,conclusion_holds,dispersed"
+    assert len(err) == len(rows) - 1 == 2
+    for line, row in zip(err, rows[1:]):
+        value, seed = row.split(",")[:2]
+        assert line.startswith(f"warning: sweep cell value={value} seed={seed} ")
+        assert float(line.split("(residual ")[1].split(")")[0]) > 1e-10
+
+    cfg["sweep"]["equilibrate"] = False
+    path = _write(tmp_path, cfg, "exact.json")
+    assert main(["sweep", "--config", path, "--out", "exact"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_empty_values_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = _base_cfg(sweep={"var": "K", "values": [], "trials": 1})

@@ -367,3 +367,56 @@ def test_linearize_homogeneous_beta_equals_abscissa():
     assert rep.omega_norm == 0.0
     assert rep.kahan_gap <= 1e-9
     assert rep.beta > 0.1
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("eigensolver called")
+
+
+def _linearize_cases():
+    rng = np.random.default_rng(2026)
+    for make in (cycle_graph, path_graph, complete_graph):
+        for N in (5, 12):
+            for n in (2, 3):
+                for x in (twisted_state(N, 1, n), random_configuration(rng, N, n)):
+                    yield make(N, gain=1.0), n, x
+
+
+def test_linearize_homogeneous_uses_only_the_symmetric_solve(monkeypatch):
+    cases = list(_linearize_cases())
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "eigvals", _refuse)
+        reps = [linearize(LoheSystem(g, zero_frequencies(g.n_nodes, n)), x) for g, n, x in cases]
+    for (g, n, x), rep in zip(cases, reps):
+        dense = eigenvalues(assemble_A(LoheSystem(g, zero_frequencies(g.n_nodes, n)), x))
+        assert np.max(np.abs(rep.spectrum_A - dense)) <= 1e-12
+        assert np.all(rep.spectrum_A.imag == 0.0)
+        assert np.all(np.diff(rep.spectrum_A.real) <= 0.0)
+        assert rep.alpha_re == rep.beta
+        assert rep.kahan_gap == 0.0
+        assert rep.omega_norm == 0.0
+
+
+def test_linearize_heterogeneous_is_the_dense_path():
+    rng = np.random.default_rng(2027)
+    for g, n, x in _linearize_cases():
+        sys = LoheSystem(g, random_frequencies(rng, g.n_nodes, n, total_norm=0.4))
+        rep = linearize(sys, x)
+        spec = eigenvalues(assemble_A(sys, x))
+        beta = float(np.linalg.eigvalsh(assemble_B(g, x))[-1])
+        assert np.array_equal(rep.spectrum_A, spec)
+        assert rep.beta == beta
+        assert rep.alpha_re == float(spec[0].real)
+        assert rep.kahan_gap == abs(beta - float(spec[0].real))
+
+
+@pytest.mark.parametrize("total_norm", [0.0, 0.5])
+def test_linearize_rejects_non_finite_configuration(monkeypatch, total_norm):
+    g = cycle_graph(5, gain=1.0)
+    sys = LoheSystem(g, random_frequencies(np.random.default_rng(3), 5, 2, total_norm))
+    x = twisted_state(5, 1, n=2)
+    x[2] = np.nan
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", _refuse)
+    with pytest.raises(ValueError, match="non-finite"):
+        linearize(sys, x)

@@ -12,7 +12,13 @@ from lohesphere.dynamics import (
     random_frequencies,
     zero_frequencies,
 )
-from lohesphere.network import CouplingGraph, cycle_graph, from_edge_list, path_graph
+from lohesphere.network import (
+    CouplingGraph,
+    complete_graph,
+    cycle_graph,
+    from_edge_list,
+    path_graph,
+)
 from lohesphere.stability import (
     BoundReport,
     bound_f,
@@ -311,6 +317,18 @@ def test_verify_theorem_frequency_below_budget():
     assert rep.conclusion_holds
     assert rep.linearization.alpha_re > 0
     assert rep.violated_links == ()
+
+
+def test_verify_theorem_synchronized_state_has_no_conclusion():
+    # The top eigenvalue there is 0; the symmetric solve returns it as +eps.
+    rng = np.random.default_rng(0)
+    for make in (cycle_graph, path_graph, complete_graph):
+        for N in (4, 7, 12, 30):
+            for n in (2, 3):
+                x = np.repeat(random_configuration(rng, 1, n), N, axis=0)
+                rep = verify_theorem(LoheSystem(make(N, gain=1.0), zero_frequencies(N, n)), x)
+                assert abs(rep.linearization.alpha_re) <= 1e-12
+                assert not rep.conclusion_holds
 
 
 def test_verify_theorem_frequency_above_budget():
