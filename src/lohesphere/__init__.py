@@ -70,57 +70,3 @@ from .stability import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundReport",
-    "CouplingGraph",
-    "DispersedReport",
-    "EquilibriumResult",
-    "IntegrationDiverged",
-    "KahanBound",
-    "LinearizationReport",
-    "LoheSystem",
-    "Trajectory",
-    "assemble_A",
-    "assemble_B",
-    "bound_f",
-    "complete_graph",
-    "cycle_graph",
-    "disagreement",
-    "disagreement_gradient",
-    "eigenvalues",
-    "extended_rhs",
-    "find_equilibrium",
-    "fixture_by_name",
-    "from_edge_list",
-    "g1",
-    "g2",
-    "great_circle_point",
-    "hetero_rhs",
-    "homo_rhs",
-    "integrate",
-    "integrate_kuramoto",
-    "is_dispersed",
-    "is_practically_synced",
-    "kahan_bound",
-    "kuramoto_rhs",
-    "lagrange_residual",
-    "lagrange_roots",
-    "linearize",
-    "min_gain",
-    "pairwise_angle",
-    "path_graph",
-    "project_tangent",
-    "random_configuration",
-    "random_frequencies",
-    "random_skew",
-    "random_unit",
-    "renormalize",
-    "spectral_abscissa",
-    "spectral_norm",
-    "sync_radius",
-    "theorem_rhs",
-    "twisted_state",
-    "verify_theorem",
-    "zero_frequencies",
-]

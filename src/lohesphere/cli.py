@@ -40,8 +40,12 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _as_positive_number(val, name: str) -> float:
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not val > 0:
+    if not _is_number(val) or not val > 0:
         raise ConfigError(f"{name} must be a number > 0, got {val!r}")
     return float(val)
 
@@ -49,6 +53,19 @@ def _as_positive_number(val, name: str) -> float:
 def _as_int(val, name: str, minimum: int) -> int:
     if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {val!r}")
+    return val
+
+
+def _as_number_grid(val, name: str, depth: int):
+    """Return val if it is a rectangular nesting of lists, depth deep, of numbers."""
+    bad = ConfigError(f"{name} must be a rectangular array of numbers, {depth} lists deep")
+    level = [val]
+    for _ in range(depth):
+        if not all(isinstance(v, list) and len(v) == len(level[0]) for v in level):
+            raise bad
+        level = [e for v in level for e in v]
+    if not all(map(_is_number, level)):
+        raise bad
     return val
 
 
@@ -89,6 +106,9 @@ def _validate_graph(section) -> dict:
         for e in out["edges"]:
             if not (isinstance(e, list) and len(e) == 3):
                 raise ConfigError(f"bad edge entry {e!r}, expected [i, j, k]")
+            _as_int(e[0], "graph.edges node index", 1)
+            _as_int(e[1], "graph.edges node index", 1)
+            _as_positive_number(e[2], "graph.edges gain")
         return out
     _require_keys(section, {"type", "N", "k"}, "graph")
     return {
@@ -110,7 +130,7 @@ def _validate_frequencies(section) -> dict:
         if "total_norm" not in section:
             raise ConfigError("random frequencies need total_norm")
         total = section["total_norm"]
-        if not isinstance(total, (int, float)) or isinstance(total, bool) or total < 0:
+        if not _is_number(total) or total < 0:
             raise ConfigError(f"frequencies.total_norm must be a number >= 0, got {total!r}")
         units = section.get("units", "absolute")
         if units not in ("absolute", "theorem_rhs"):
@@ -120,7 +140,8 @@ def _validate_frequencies(section) -> dict:
         _require_keys(section, {"mode", "matrices"}, "frequencies")
         if "matrices" not in section:
             raise ConfigError("explicit frequencies need matrices")
-        return {"mode": "explicit", "matrices": section["matrices"]}
+        return {"mode": "explicit",
+                "matrices": _as_number_grid(section["matrices"], "frequencies.matrices", 3)}
     raise ConfigError(f"frequencies.mode must be zero, random, or explicit, got {mode!r}")
 
 
@@ -138,7 +159,7 @@ def _validate_init(section) -> dict:
         _require_keys(section, {"mode", "points"}, "init")
         if "points" not in section:
             raise ConfigError("explicit init needs points")
-        return {"mode": "explicit", "points": section["points"]}
+        return {"mode": "explicit", "points": _as_number_grid(section["points"], "init.points", 2)}
     raise ConfigError(f"init.mode must be random, twisted, or explicit, got {mode!r}")
 
 
@@ -154,7 +175,7 @@ def _validate_sweep(section) -> dict:
         raise ConfigError("sweep.values must be a nonempty list")
     clean = []
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ConfigError(f"sweep value {v!r} is not a number")
         if var in ("N", "n"):
             if int(v) != v:
@@ -211,13 +232,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(analysis, dict):
         raise ConfigError("analysis must be an object")
     _require_keys(analysis, {"linearize", "verify_theorem", "dispersed"}, "analysis")
-    analysis = {
-        "linearize": bool(analysis.get("linearize", False)),
-        "verify_theorem": bool(analysis.get("verify_theorem", False)),
-        "dispersed": bool(analysis.get("dispersed", False)),
-    }
-    for key in ("linearize", "verify_theorem", "dispersed"):
-        got = raw.get("analysis", {}).get(key, False)
+    analysis = {key: analysis.get(key, False)
+                for key in ("linearize", "verify_theorem", "dispersed")}
+    for key, got in analysis.items():
         if not isinstance(got, bool):
             raise ConfigError(f"analysis.{key} must be a boolean")
 

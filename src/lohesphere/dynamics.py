@@ -89,8 +89,12 @@ def _check_state(system: LoheSystem, x: np.ndarray) -> np.ndarray:
 def _coupling_field(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     # (I - x_i x_i^T) S_i with S_i the gain-weighted neighbor sum
     S = W @ x
-    dots = np.einsum("nd,nd->n", x, S)
-    return S - x * dots[:, None]
+    return S - x * np.vecdot(x, S, keepdims=True)
+
+
+def _drift(omegas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # Omega_i x_i for every agent
+    return np.matmul(omegas, x[:, :, None])[:, :, 0]
 
 
 def homo_rhs(graph: CouplingGraph, z: np.ndarray) -> np.ndarray:
@@ -102,8 +106,7 @@ def homo_rhs(graph: CouplingGraph, z: np.ndarray) -> np.ndarray:
 def hetero_rhs(system: LoheSystem, x: np.ndarray) -> np.ndarray:
     """Full field: per-agent rotation drift plus the coupling term."""
     x = _check_state(system, x)
-    drift = np.einsum("nij,nj->ni", system.omegas, x)
-    return drift + _coupling_field(system.graph.weight_matrix, x)
+    return _drift(system.omegas, x) + _coupling_field(system.graph.weight_matrix, x)
 
 
 def disagreement(graph: CouplingGraph, z: np.ndarray) -> float:
@@ -139,17 +142,28 @@ def extended_rhs(system: LoheSystem, v: np.ndarray) -> np.ndarray:
 
     Each row is normalized to u_i = v_i / |v_i| before evaluating the
     coupling, and the projector is taken at u_i, so <dv_i/dt, v_i> = 0
-    and row norms are conserved along exact flows.
+    and row norms are conserved along exact flows. Raises ValueError when
+    a row norm is <= 1e-8, where the extension is undefined.
     """
-    v = _check_config(system.graph, v)
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    if np.min(norms) <= 1e-8:
-        raise ValueError("extension undefined near the origin: row norm <= 1e-8")
-    u = v / norms
-    S = system.graph.weight_matrix @ u
-    dots = np.einsum("nd,nd->n", u, S)
-    drift = np.einsum("nij,nj->ni", system.omegas, v)
-    return drift + S - u * dots[:, None]
+    return extended_field(system)(_check_config(system.graph, v))
+
+
+def extended_field(system: LoheSystem):
+    """The extended_rhs field as an unchecked callable v -> dv/dt.
+
+    The weight matrix and the frequency matrices are bound once, and the
+    callable does no shape or dtype check: the caller validates the
+    state once (e.g. by _check_state) before evaluating it in a loop.
+    """
+    W, om = system.graph.weight_matrix, system.omegas
+
+    def field(v: np.ndarray) -> np.ndarray:
+        norms = np.sqrt(np.vecdot(v, v, keepdims=True))
+        if norms.min() <= 1e-8:
+            raise ValueError("extension undefined near the origin: row norm <= 1e-8")
+        return _drift(om, v) + _coupling_field(W, v / norms)
+
+    return field
 
 
 def kuramoto_rhs(omega: np.ndarray, graph: CouplingGraph, theta: np.ndarray) -> np.ndarray:

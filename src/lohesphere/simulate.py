@@ -9,6 +9,7 @@ drift is recorded per sample as a health check.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -18,8 +19,9 @@ import numpy as np
 from . import hull
 from .dynamics import (
     LoheSystem,
+    _check_state,
     disagreement,
-    extended_rhs,
+    extended_field,
     hetero_rhs,
     kuramoto_rhs,
 )
@@ -92,12 +94,34 @@ class Trajectory:
             fh.write("\n")
 
 
-def _rk4_step(system: LoheSystem, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = extended_rhs(system, x)
-    k2 = extended_rhs(system, x + (dt / 2.0) * k1)
-    k3 = extended_rhs(system, x + (dt / 2.0) * k2)
-    k4 = extended_rhs(system, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of size h for dx/dt = f(x)."""
+    k1 = f(x)
+    k2 = f(x + (h / 2.0) * k1)
+    k3 = f(x + (h / 2.0) * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _sphere_step(f, x: np.ndarray, h: float, t: float):
+    """RK4 step on the ambient extension f, then renormalize every agent.
+
+    Returns the renormalized state and the largest row-norm deviation
+    before renormalization. Raises IntegrationDiverged, stamped with t,
+    when the state turns non-finite or a row norm collapses, in a stage
+    or at the end of the step.
+    """
+    try:
+        xt = _rk4_step(f, x, h)
+    except ValueError:  # the field's row-norm guard tripped in a stage
+        raise IntegrationDiverged(t, "agent norm collapsed") from None
+    norms = np.sqrt(np.vecdot(xt, xt))
+    deviation = np.abs(norms - 1.0).max()
+    if not deviation < math.inf:  # also catches NaN
+        raise IntegrationDiverged(t)
+    if norms.min() <= 1e-8:
+        raise IntegrationDiverged(t, "agent norm collapsed")
+    return xt / norms[:, None], float(deviation)
 
 
 def _edge_angles(graph: CouplingGraph, x: np.ndarray):
@@ -125,6 +149,12 @@ def integrate(
     matters only for dispersed samples: a cohesive sample's radius comes
     exactly from the hull, whatever the budget. It is smaller than the
     sync_radius default because the radius is evaluated at every sample.
+    x0 is checked against the system once; the steps then run the
+    unchecked extended_field kernel. That kernel rounds differently from
+    the earlier per-call field, so trajectories differ from earlier
+    versions in their last digits (final V by at most 2.9e-15 relative on
+    13 seeded 10-agent path runs of 4,000 steps); equal inputs still give
+    bit-identical trajectories.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -132,10 +162,11 @@ def integrate(
         raise ValueError(f"t_end must be > 0, got {t_end}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    x = np.array(x0, dtype=float)
+    x = _check_state(system, np.array(x0, dtype=float))
     if not np.all(np.isfinite(x)):
         raise IntegrationDiverged(0.0)
     graph = system.graph
+    field = extended_field(system)
 
     n_steps = int(math.ceil(t_end / dt - 1e-12))
     times, states, vs, radii, mins, maxs, drifts = [], [], [], [], [], [], []
@@ -152,18 +183,11 @@ def integrate(
 
     record(0.0, 0.0)
     drift_acc = 0.0
-    t = 0.0
     for step in range(1, n_steps + 1):
         h = dt if step < n_steps else (t_end - dt * (n_steps - 1))
-        xt = _rk4_step(system, x, h)
         t = t_end if step == n_steps else step * dt
-        if not np.all(np.isfinite(xt)):
-            raise IntegrationDiverged(t)
-        norms = np.linalg.norm(xt, axis=1)
-        if np.min(norms) <= 1e-8:
-            raise IntegrationDiverged(t, "agent norm collapsed")
-        drift_acc = max(drift_acc, float(np.max(np.abs(norms - 1.0))))
-        x = xt / norms[:, None]
+        x, deviation = _sphere_step(field, x, h, t)
+        drift_acc = max(drift_acc, deviation)
         if step % sample_every == 0 or step == n_steps:
             record(t, drift_acc)
             drift_acc = 0.0
@@ -191,16 +215,13 @@ def integrate_kuramoto(
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be > 0")
     th = np.array(theta0, dtype=float)
+    field = functools.partial(kuramoto_rhs, omega, graph)
     n_steps = int(math.ceil(t_end / dt - 1e-12))
     times = [0.0]
     out = [th.copy()]
     for step in range(1, n_steps + 1):
         h = dt if step < n_steps else (t_end - dt * (n_steps - 1))
-        k1 = kuramoto_rhs(omega, graph, th)
-        k2 = kuramoto_rhs(omega, graph, th + (h / 2) * k1)
-        k3 = kuramoto_rhs(omega, graph, th + (h / 2) * k2)
-        k4 = kuramoto_rhs(omega, graph, th + h * k3)
-        th = th + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        th = _rk4_step(field, th, h)
         if step % sample_every == 0 or step == n_steps:
             times.append(t_end if step == n_steps else step * dt)
             out.append(th.copy())
@@ -369,7 +390,10 @@ def find_equilibrium(
     the polish), then applies damped Newton steps in tangent coordinates
     with the exact Jacobian T^T A T (A differs from the field's derivative
     only in normal directions). The lowest-residual state seen anywhere is
-    kept, so a failed polish cannot lose ground.
+    kept, so a failed polish cannot lose ground. The flow steps the same
+    kernel as integrate, so its results differ from earlier versions in
+    their last digits. A collapsed agent norm or a non-finite state in the
+    flow raises IntegrationDiverged.
     """
     x = np.array(x0, dtype=float)
     x = x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -378,15 +402,13 @@ def find_equilibrium(
         return EquilibriumResult(config=x, residual=res, iterations=0, converged=True)
 
     best_x, best_res = x.copy(), res
+    field = extended_field(system)
     t = 0.0
     while t < max_time and res > 10.0 * tol:
         span = min(5.0, max_time - t)
         steps = max(1, int(round(span / dt)))
         for _ in range(steps):
-            xt = _rk4_step(system, x, dt)
-            if not np.all(np.isfinite(xt)):
-                raise IntegrationDiverged(t, "diverged during equilibrium search")
-            x = xt / np.linalg.norm(xt, axis=1, keepdims=True)
+            x, _ = _sphere_step(field, x, dt, t)
         t += steps * dt
         res = _residual(system, x)
         if res < best_res:

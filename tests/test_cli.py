@@ -203,6 +203,48 @@ def test_simulate_divergence_exits_3(tmp_path, capsys, monkeypatch):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_collapsed_stage_norm_exits_3(tmp_path, capsys, monkeypatch):
+    # One step of length dt from the points (1, 0) and (cos a, sin a),
+    # a = 1.3626600819983512: the input of RK4 stage 4 has a row norm
+    # below 1e-8, where the ambient extension of the field is undefined.
+    monkeypatch.chdir(tmp_path)
+    w = 0.6734296154702647
+    dt = 2.4121854658376325
+    cfg = {
+        "graph": {"type": "path", "N": 2, "k": 1.0},
+        "n": 1,
+        "frequencies": {
+            "mode": "explicit",
+            "matrices": [[[0.0, -w], [w, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        },
+        "init": {"mode": "explicit",
+                 "points": [[1.0, 0.0], [0.20663672864359825, 0.9784177340867611]]},
+        "integrate": {"dt": dt, "t_end": dt, "sample_every": 1},
+        "seed": 0,
+    }
+    path = _write(tmp_path, cfg)
+    assert main(["simulate", "--config", path]) == 3
+    assert "agent norm collapsed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over", [
+    {"frequencies": {"mode": "explicit", "matrices": [[["a"]]]}},
+    {"frequencies": {"mode": "explicit",
+                     "matrices": [[[0.0, True, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 5}},
+    {"init": {"mode": "explicit", "points": [[1.0, 0.0, "0"]] * 5}},
+    {"init": {"mode": "explicit", "points": [[1.0, 0.0, 0.0]] * 4 + [[1.0, 0.0]]}},
+    {"graph": {"type": "edges", "N": 3, "edges": [[1, 2.5, 1], [2, 3, 1]]}},
+    {"graph": {"type": "edges", "N": 3, "edges": [[1, 2, "1"], [2, 3, 1]]}},
+], ids=["matrix-string", "matrix-bool", "points-string", "points-ragged",
+        "edge-fractional-node", "edge-string-gain"])
+def test_malformed_arrays_exit_2(tmp_path, capsys, monkeypatch, over):
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, _base_cfg(**over))
+    assert main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "run_trajectory.csv").exists()
+
+
 def test_linearize_twisted_cycle_homogeneous(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = {

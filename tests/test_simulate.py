@@ -9,6 +9,7 @@ import pytest
 from lohesphere.dynamics import (
     LoheSystem,
     disagreement,
+    extended_rhs,
     random_configuration,
     random_frequencies,
     zero_frequencies,
@@ -140,6 +141,57 @@ def test_integrate_rejects_bad_parameters():
         integrate(sys, x0, t_end=0.0)
     with pytest.raises(ValueError, match="sample_every"):
         integrate(sys, x0, sample_every=0)
+
+
+def _reference_rk4(system, x0, dt, t_end):
+    """Plain RK4 over the public extended_rhs, renormalizing after each step."""
+    x = np.array(x0, dtype=float)
+    n_steps = int(math.ceil(t_end / dt - 1e-12))
+    for step in range(1, n_steps + 1):
+        h = dt if step < n_steps else t_end - dt * (n_steps - 1)
+        k1 = extended_rhs(system, x)
+        k2 = extended_rhs(system, x + (h / 2) * k1)
+        k3 = extended_rhs(system, x + (h / 2) * k2)
+        k4 = extended_rhs(system, x + h * k3)
+        xt = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = xt / np.linalg.norm(xt, axis=1, keepdims=True)
+    return x
+
+
+@pytest.mark.parametrize("make_graph", [path_graph, cycle_graph, complete_graph])
+@pytest.mark.parametrize("n", [2, 3])
+def test_integrate_matches_reference_rk4_loop(make_graph, n):
+    rng = np.random.default_rng(40 + n)
+    g = make_graph(7, gain=1.3)
+    sys = LoheSystem(g, random_frequencies(rng, 7, n, total_norm=0.9))
+    x0 = random_configuration(rng, 7, n)
+    traj = integrate(sys, x0, dt=1e-2, t_end=3.005, sample_every=50)
+    ref = _reference_rk4(sys, x0, 1e-2, 3.005)
+    assert np.max(np.abs(traj.final_state - ref)) <= 1e-13
+
+
+def test_integrate_validates_state_once_not_per_step(monkeypatch):
+    import lohesphere.dynamics
+
+    calls = []
+    check = lohesphere.dynamics._check_config
+
+    def counting(*args):
+        calls.append(1)
+        return check(*args)
+
+    monkeypatch.setattr(lohesphere.dynamics, "_check_config", counting)
+    rng = np.random.default_rng(5)
+    sys = LoheSystem(path_graph(4, gain=1.0), random_frequencies(rng, 4, 2, total_norm=0.5))
+    x0 = random_configuration(rng, 4, 2)
+    dt = 2.0**-7
+    counts = []
+    for steps in (100, 1000):  # one sample at t = 0 and one at t_end either way
+        calls.clear()
+        traj = integrate(sys, x0, dt=dt, t_end=steps * dt, sample_every=steps)
+        assert len(traj.times) == 2
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 100
 
 
 def test_trajectory_validates_column_lengths():
