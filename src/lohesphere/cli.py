@@ -505,8 +505,11 @@ def cmd_sweep(cfg: ExperimentConfig, sweep: dict) -> int:
         for vi, value in enumerate(sweep["values"])
         for trial in range(sweep["trials"])
     ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # the fork start method launches every worker at the first submit, so
+    # never ask for more workers than cells
+    workers = min(cfg.workers, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]

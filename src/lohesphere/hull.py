@@ -14,11 +14,21 @@ stalling at the O(1/k) rate of pure vertex steps.
 
 from __future__ import annotations
 
+import warnings
+from collections import Counter
+
 import numpy as np
 
 MAX_ITER = 10_000
 # Weights at or below this are treated as zero when pruning the support.
 WEIGHT_FLOOR = 1e-13
+# Relative slack of "beyond a facet plane", and the smallest singular value
+# of a facet's edge vectors that still spans a hyperplane.
+BOUNDARY_TOL = 1e-12
+SINGULAR_FLOOR = 1e-14
+# A hull in R^d can have ~N^(d/2) facets: 60 points in R^11 pass this cap,
+# d <= 5 up to N = 10^4 stays far below it.
+MAX_FACETS = 50_000
 
 
 def _affine_min_norm(A: np.ndarray) -> np.ndarray:
@@ -117,3 +127,71 @@ def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e
                 break
 
     return p, iterations
+
+
+def _facet_planes(X: np.ndarray, facets: np.ndarray, inner: np.ndarray):
+    """Planes n.x = c (|n| = 1, n.inner < c) through X[f] for each row f of
+    facets; returns (n, c, facets) without the rows that span no plane."""
+    P = X[facets]
+    _, sv, vt = np.linalg.svd(P[:, 1:] - P[:, :1])
+    n = vt[:, -1]
+    c = np.vecdot(n, P[:, 0])
+    sign = np.where(n @ inner > c, -1.0, 1.0)
+    keep = np.all(sv > SINGULAR_FLOOR, axis=1)
+    return (n * sign[:, None])[keep], (c * sign)[keep], facets[keep]
+
+
+def boundary_distance(points: np.ndarray) -> float:
+    """Distance rho = min over unit u of max_i <x_i, u> from the origin to
+    the boundary of the hull K of the rows, for the origin in K.
+
+    Expanding polytope algorithm (van den Bergen, GDC 2001): a polytope in
+    K, first a widest simplex of the points, takes in the point farthest
+    beyond its facet closest to the origin until none lies beyond. The
+    start need not hold the origin: a facet with the origin beyond it has
+    a negative offset, and max_i <x_i, n> >= 0 puts a point beyond it.
+    Returns the least max_i <x_i, n> over those facet normals n: never
+    below rho, and rho unless the facets outnumber MAX_FACETS (then with
+    a RuntimeWarning). A flat K gives 0.
+    """
+    X = np.asarray(points, dtype=float)
+    N, d = X.shape
+    tol = BOUNDARY_TOL * float(np.max(np.abs(X)))
+
+    # each simplex vertex is the point farthest from the affine hull of the
+    # earlier ones
+    simplex = [0]
+    for _ in range(d):
+        D = X[simplex[1:]] - X[simplex[0]]
+        R = X - X[simplex[0]]
+        dist = np.linalg.norm(R - R @ np.linalg.pinv(D) @ D, axis=1)
+        if dist.max() <= tol:
+            return 0.0
+        simplex.append(int(np.argmax(dist)))
+    inner = X[simplex].mean(axis=0)
+    normals, offsets, facets = _facet_planes(
+        X, np.sort([simplex[:m] + simplex[m + 1:] for m in range(d + 1)]), inner)
+
+    best = np.inf
+    for _ in range(N):
+        k = int(np.argmin(offsets))
+        h = X @ normals[k]
+        s = int(np.argmax(h))
+        best = min(best, float(h[s]))
+        if h[s] <= offsets[k] + tol:
+            break
+        if len(offsets) > MAX_FACETS:
+            warnings.warn("boundary_distance hit MAX_FACETS; returning an upper bound",
+                          RuntimeWarning, stacklevel=2)
+            break
+        # replace the facets s sees by the cone from s over their horizon,
+        # the ridges of exactly one visible facet
+        visible = normals @ X[s] > offsets + tol
+        ridges = Counter(tuple(f[:m] + f[m + 1:])
+                         for f in facets[visible].tolist() for m in range(d))
+        new = [sorted(r + (s,)) for r, count in ridges.items() if count == 1]
+        n, c, f = _facet_planes(X, np.array(new, dtype=np.intp).reshape(-1, d), inner)
+        normals = np.concatenate([normals[~visible], n])
+        offsets = np.concatenate([offsets[~visible], c])
+        facets = np.concatenate([facets[~visible], f])
+    return best

@@ -25,7 +25,6 @@ from .dynamics import (
     hetero_rhs,
     kuramoto_rhs,
 )
-from .geometry import random_unit
 from .network import CouplingGraph
 from .spectral import assemble_A, configuration_tangent_basis
 
@@ -139,17 +138,15 @@ def integrate(
     dt: float = 1e-3,
     t_end: float = 100.0,
     sample_every: int = 100,
-    radius_iters: int = 64,
 ) -> Trajectory:
     """Run RK4 with per-step renormalization and sampled diagnostics.
 
     Samples are taken at t = 0, every sample_every steps, and at t_end.
-    The final step is shortened when t_end is not a multiple of dt.
-    radius_iters is the ascent budget of the per-sample cap radius. It
-    matters only for dispersed samples: a cohesive sample's radius comes
-    exactly from the hull, whatever the budget. It is smaller than the
-    sync_radius default because the radius is evaluated at every sample.
-    x0 is checked against the system once; the steps then run the
+    The final step is shortened when t_end is not a multiple of dt. Each
+    sample records the exact cap radius (sync_radius).
+    x0 must hold unit rows to within 1e-9 (ValueError otherwise; a
+    non-finite x0 raises IntegrationDiverged at t = 0) and is recorded
+    as given. It is checked against the system once; the steps then run the
     unchecked extended_field kernel. That kernel rounds differently from
     the earlier per-call field, so trajectories differ from earlier
     versions in their last digits (final V by at most 2.9e-15 relative on
@@ -165,6 +162,8 @@ def integrate(
     x = _check_state(system, np.array(x0, dtype=float))
     if not np.all(np.isfinite(x)):
         raise IntegrationDiverged(0.0)
+    if np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) > 1e-9:
+        raise ValueError("x0 rows must be unit vectors (within 1e-9)")
     graph = system.graph
     field = extended_field(system)
 
@@ -175,7 +174,7 @@ def integrate(
         times.append(t)
         states.append(x.copy())
         vs.append(disagreement(graph, x))
-        radii.append(sync_radius(x, iters=radius_iters))
+        radii.append(sync_radius(x))
         lo, hi = _edge_angles(graph, x)
         mins.append(lo)
         maxs.append(hi)
@@ -228,76 +227,22 @@ def integrate_kuramoto(
     return np.array(times), np.array(out)
 
 
-def _equalize_candidates(x: np.ndarray, y: np.ndarray, rounds: int = 60):
-    """Deterministic polish of a cap-center candidate.
-
-    Repeatedly takes the current worst-aligned agents (a band that
-    shrinks geometrically), and proposes two closed-form centers: the
-    direction equalizing the inner products over the band, and the
-    band's null direction when it is degenerate. Proposals are accepted
-    only when they improve the true objective min_i <x_i, y>. The
-    proposals depend on the band alone and the accepted value only
-    grows, so a band already proposed from is skipped.
-    """
-    best = float(np.min(x @ y))
-    width = 0.5
-    seen = set()
-    for _ in range(rounds):
-        scores = x @ y
-        m = float(np.min(scores))
-        active = np.where(scores <= m + width)[0]
-        width *= 0.5
-        band = tuple(active)
-        if band in seen:
-            continue
-        seen.add(band)
-        A = x[active]
-        proposals = []
-        G = A @ A.T
-        try:
-            w = np.linalg.solve(G + 1e-13 * np.eye(len(active)), np.ones(len(active)))
-            cand = A.T @ w
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-12:
-                proposals.append(cand / nrm)
-        except np.linalg.LinAlgError:
-            pass
-        # Degenerate bands (e.g. antipodal pairs) have no equalizer in
-        # their span; a null direction of the band is optimal then.
-        _, svals, vt = np.linalg.svd(A, full_matrices=True)
-        if len(active) < x.shape[1] or svals[-1] < 1e-8:
-            proposals.append(vt[-1])
-            proposals.append(-vt[-1])
-        for cand in proposals:
-            val = float(np.min(x @ cand))
-            if val > best:
-                best = val
-                y = cand
-    return best, y
-
-
-def sync_radius(x: np.ndarray, iters: int = 500) -> float:
+def sync_radius(x: np.ndarray) -> float:
     """Angular radius of the smallest spherical cap containing all agents.
 
-    Defined as arccos of max over unit y of min_i <x_i, y>. The hull
-    minimum-norm point p is solved first. When p != 0 and every agent
-    lies strictly on the positive side of y = p/|p|, the configuration
-    is cohesive and the result is arccos(min_i <x_i, y>): exact by LP
-    duality when p is optimal, and an upper bound otherwise, with no
-    dependence on iters. Otherwise the configuration is dispersed, so
-    the radius is at least pi/2 (unless the hull solve stopped at its
-    iteration cap), and a search bounds it from above:
-    projected subgradient ascent with step 1/sqrt(k) for iters steps
-    from the normalized mean and eight seeded random restarts, then a
-    deterministic equalization polish of the three best iterates. That
-    bound is nonincreasing in iters. Deterministic in x; the result lies
-    in [0, pi].
+    Defined as arccos of max over unit y of min_i <x_i, y>. With p the
+    hull minimum-norm point: when p != 0 and every agent lies strictly on
+    the positive side of y = p/|p| (cohesive), it is arccos(min_i <x_i, y>)
+    by LP duality. Otherwise the origin lies in the hull K of the agents
+    (dispersed) and it is pi/2 + arcsin(hull.boundary_distance), exactly
+    pi/2 for a flat K or the origin on its boundary. Exact unless the
+    boundary search passes hull.MAX_FACETS (high dimension only).
+    Deterministic in x; the result lies in [0, pi].
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected (N, d) configuration, got shape {x.shape}")
-    N, d = x.shape
-    if N == 1:
+    if x.shape[0] == 1:
         return 0.0
 
     p, _ = hull.min_norm_point(x)
@@ -306,47 +251,8 @@ def sync_radius(x: np.ndarray, iters: int = 500) -> float:
         v = float(np.min(x @ (p / pn)))
         if v > 0:
             return float(np.arccos(min(v, 1.0)))
-
-    starts = []
-    mean = x.mean(axis=0)
-    nrm = np.linalg.norm(mean)
-    starts.append(mean / nrm if nrm > 1e-12 else x[0].copy())
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        starts.append(random_unit(rng, d - 1))
-
-    candidates = []
-    for y0 in starts:
-        y = y0
-        scores = x @ y
-        best_val = float(scores.min())
-        best_y = y
-        for k in range(1, iters + 1):
-            step = 1.0 / math.sqrt(k)
-            g = x[scores.argmin()]
-            z = y + step * g
-            zn = math.sqrt(z @ z)
-            if zn <= 1e-12:
-                # antipodal push, shorten the step
-                z = y + 0.5 * step * g
-                zn = math.sqrt(z @ z)
-                if zn <= 1e-12:
-                    continue
-            y = z / zn
-            scores = x @ y
-            val = float(scores.min())
-            if val > best_val:
-                best_val = val
-                best_y = y
-        candidates.append((best_val, best_y))
-
-    candidates.sort(key=lambda c: c[0], reverse=True)
-    best_val = candidates[0][0]
-    for _, y in candidates[:3]:
-        pv, _ = _equalize_candidates(x, y)
-        if pv > best_val:
-            best_val = pv
-    return float(np.arccos(np.clip(best_val, -1.0, 1.0)))
+    rho = hull.boundary_distance(x)
+    return math.pi / 2 + math.asin(min(max(rho, 0.0), 1.0))
 
 
 def is_practically_synced(x: np.ndarray, half_angle: float = math.pi / 4) -> bool:

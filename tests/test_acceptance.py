@@ -113,9 +113,7 @@ def test_criterion_02_tangency_and_norm_conservation():
         graph = path_graph(10, gain=1.0)
         sys = LoheSystem(graph, random_frequencies(rng, 10, 2, total_norm=1.0))
         x0 = random_configuration(rng, 10, 2)
-        traj = integrate(
-            sys, x0, dt=1e-3, t_end=100.0, sample_every=5000, radius_iters=1
-        )
+        traj = integrate(sys, x0, dt=1e-3, t_end=100.0, sample_every=5000)
         assert np.max(traj.norm_drift) <= 1e-9
 
 
@@ -217,9 +215,7 @@ def test_criterion_09_empirical_practical_sync_soft():
     for trial in range(100):
         sys = LoheSystem(graph, random_frequencies(rng, 10, 2, total_norm=0.5 * budget))
         x0 = random_configuration(rng, 10, 2)
-        traj = integrate(
-            sys, x0, dt=0.02, t_end=200.0, sample_every=10**9, radius_iters=4
-        )
+        traj = integrate(sys, x0, dt=0.02, t_end=200.0, sample_every=10**9)
         if is_practically_synced(traj.final_state):
             synced += 1
         else:
@@ -250,9 +246,7 @@ def test_criterion_10_kuramoto_reduction():
             omegas = np.array([kuramoto_frequency_matrix(wi) for wi in w])
             sys = LoheSystem(graph, omegas)
             x0 = angles_to_configuration(theta0)
-            traj = integrate(
-                sys, x0, dt=dt, t_end=10.0, sample_every=400, radius_iters=1
-            )
+            traj = integrate(sys, x0, dt=dt, t_end=10.0, sample_every=400)
             times_k, angles_k = integrate_kuramoto(
                 w, graph, theta0, dt=dt, t_end=10.0, sample_every=400
             )

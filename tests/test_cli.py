@@ -8,6 +8,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from lohesphere import cli
 from lohesphere.cli import ConfigError, main, validate_config
 from lohesphere.stability import theorem_rhs
 
@@ -369,6 +370,45 @@ def test_sweep_deterministic_across_workers(tmp_path, monkeypatch):
     assert main(["sweep", "--config", path, "--out", "w1"]) == 0
     assert main(["sweep", "--config", path, "--out", "w2", "--workers", "2"]) == 0
     assert (tmp_path / "w1_sweep.csv").read_bytes() == (tmp_path / "w2_sweep.csv").read_bytes()
+
+
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # a fake pool records max_workers and runs the cells in process, so a
+    # large --workers starts no process at all
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.chdir(tmp_path)
+    cfg = {
+        "graph": {"type": "cycle", "N": 5, "k": 1.0},
+        "n": 2,
+        "init": {"mode": "twisted", "q": 1},
+        "seed": 9,
+        "sweep": {"var": "omega_total", "values": [0.2, 0.8], "trials": 2,
+                  "units": "theorem_rhs"},
+    }
+    path = _write(tmp_path, cfg)
+    assert main(["sweep", "--config", path, "--out", "w1"]) == 0
+    assert main(["sweep", "--config", path, "--out", "wk", "--workers", "100000"]) == 0
+    assert seen == [4]
+    assert (tmp_path / "w1_sweep.csv").read_bytes() == (tmp_path / "wk_sweep.csv").read_bytes()
+    cfg["sweep"]["values"], cfg["sweep"]["trials"] = [0.2], 1
+    path = _write(tmp_path, cfg)
+    assert main(["sweep", "--config", path, "--out", "w1c", "--workers", "8"]) == 0
+    assert seen == [4]  # one cell runs in process
 
 
 def test_sweep_over_agent_count(tmp_path, monkeypatch):

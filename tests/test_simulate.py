@@ -1,5 +1,6 @@
 """Integrator, equilibrium refinement, and cap-radius diagnostics."""
 
+import itertools
 import json
 import math
 
@@ -141,6 +142,11 @@ def test_integrate_rejects_bad_parameters():
         integrate(sys, x0, t_end=0.0)
     with pytest.raises(ValueError, match="sample_every"):
         integrate(sys, x0, sample_every=0)
+    # a start off the sphere would be recorded unnormalized as sample 0
+    with pytest.raises(ValueError, match="unit"):
+        integrate(sys, 2.0 * x0)
+    with pytest.raises(ValueError, match="unit"):
+        integrate(sys, x0 * (1.0 + 2e-9))
 
 
 def _reference_rk4(system, x0, dt, t_end):
@@ -279,25 +285,17 @@ def test_sync_radius_matches_hull_duality_on_cohesive_cluster():
         assert abs(sync_radius(x) - math.acos(np.linalg.norm(p))) < 1e-6
 
 
-def test_sync_radius_nonincreasing_in_iters():
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        x = random_configuration(rng, 6, 3)
-        assert sync_radius(x, iters=400) <= sync_radius(x, iters=100) + 1e-9
-
-
 def test_sync_radius_range_and_single_agent():
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = random_configuration(rng, 5, 2)
-        r = sync_radius(x, iters=80)
+        r = sync_radius(x)
         assert 0.0 <= r <= math.pi
     assert sync_radius(np.array([[0.0, 0.0, 1.0]])) == 0.0
 
 
 def test_sync_radius_cohesive_is_hull_value_for_any_budget():
-    # a cohesive radius comes from the hull direction alone, so the ascent
-    # budget cannot change it
+    # a cohesive radius comes from the hull direction alone
     rng = np.random.default_rng(47)
     for _ in range(20):
         d = int(rng.integers(2, 6))
@@ -307,7 +305,7 @@ def test_sync_radius_cohesive_is_hull_value_for_any_budget():
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         p, _ = hull.min_norm_point(x)
         expected = float(np.arccos(min(float(np.min(x @ (p / np.linalg.norm(p)))), 1.0)))
-        assert sync_radius(x, iters=1) == sync_radius(x, iters=500) == expected
+        assert sync_radius(x) == expected
 
 
 def test_sync_radius_below_half_pi_exactly_when_cohesive():
@@ -317,6 +315,99 @@ def test_sync_radius_below_half_pi_exactly_when_cohesive():
         r = sync_radius(x)
         assert 0.0 <= r <= math.pi
         assert (r < math.pi / 2) == (not is_dispersed(x).dispersed)
+
+
+def _dispersed_radius_oracle(x):
+    """Cap radius of a dispersed, full-dimensional x from every d-subset.
+
+    Each facet plane of the hull passes through d of the points with all
+    points on one side; the cap radius is pi/2 + arcsin of the smallest
+    facet offset.
+    """
+    N, d = x.shape
+    P = x[np.array(list(itertools.combinations(range(N), d)))]
+    _, sv, vt = np.linalg.svd(P[:, 1:] - P[:, :1])
+    n = vt[:, -1]
+    c = np.vecdot(n, P[:, 0])
+    h = x @ n.T - c
+    spans = sv[:, -1] > 1e-9
+    rho = min(np.min(c[spans & np.all(h <= 1e-12, axis=0)], initial=np.inf),
+              np.min(-c[spans & np.all(h >= -1e-12, axis=0)], initial=np.inf))
+    return math.pi / 2 + math.asin(rho)
+
+
+def test_sync_radius_dispersed_matches_exhaustive_oracle():
+    rng = np.random.default_rng(71)
+    checked = 0
+    for _ in range(300):
+        d = int(rng.integers(2, 6))
+        x = random_configuration(rng, int(rng.integers(d + 1, 13)), d - 1)
+        if not is_dispersed(x).dispersed:
+            continue
+        checked += 1
+        r = sync_radius(x)
+        assert r >= math.pi / 2
+        assert abs(r - _dispersed_radius_oracle(x)) <= 1e-12
+    assert checked >= 50
+
+
+def _unit_rows(a):
+    a = np.asarray(a, dtype=float)
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def _degenerate_fixtures():
+    """(name, points, exact boundary distance of the hull from the origin)."""
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    m = 8
+    phase = 2 * np.pi * np.arange(m) / m
+    ring = np.column_stack([np.cos(phase), np.sin(phase), np.zeros(m)])
+    c = math.cos(math.pi / m)
+    return [
+        ("cube", _unit_rows(list(itertools.product([-1, 1], repeat=3))), 1 / math.sqrt(3)),
+        ("octahedron", octahedron, 1 / math.sqrt(3)),
+        ("4-cube", _unit_rows(list(itertools.product([-1, 1], repeat=4))), 0.5),
+        ("4-cross-polytope", np.vstack([np.eye(4), -np.eye(4)]), 0.5),
+        # bipyramid over the ring: facet (r_k, r_k+1, pole) has normal
+        # (a cos(mid), a sin(mid), b) with a cos(pi/m) = b
+        ("ring+poles", np.vstack([ring, [[0, 0, 1.0], [0, 0, -1.0]]]), c / math.sqrt(1 + c * c)),
+        ("duplicated rows", np.vstack([octahedron, octahedron[::-1]]), 1 / math.sqrt(3)),
+    ]
+
+
+@pytest.mark.parametrize("name, x, rho", _degenerate_fixtures())
+def test_sync_radius_exact_on_degenerate_hulls(name, x, rho):
+    assert abs(sync_radius(x) - (math.pi / 2 + math.asin(rho))) <= 1e-12
+
+
+def test_sync_radius_flat_or_boundary_origin_is_exactly_half_pi():
+    half_sphere = _unit_rows([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    flat = [twisted_state(6, 1, 2), twisted_state(7, 2, 3), half_sphere,
+            np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]),
+            np.column_stack([twisted_state(5, 1, 2), np.zeros(5)])]
+    for x in flat:
+        assert sync_radius(x) == math.pi / 2
+
+
+def test_sync_radius_independent_of_row_order():
+    rng = np.random.default_rng(83)
+    configs = [x for _, x, _ in _degenerate_fixtures()]
+    configs += [random_configuration(rng, int(rng.integers(4, 13)), int(rng.integers(1, 5)))
+                for _ in range(30)]
+    for x in configs:
+        r = sync_radius(x)
+        for _ in range(5):
+            # 4 ulp at pi: the order changes rounding only
+            assert abs(sync_radius(x[rng.permutation(len(x))]) - r) <= 2e-15
+
+
+def test_sync_radius_facet_cap_warns_and_bounds_from_above(monkeypatch):
+    x = random_configuration(np.random.default_rng(89), 300, 2)
+    exact = sync_radius(x)
+    monkeypatch.setattr(hull, "MAX_FACETS", 20)
+    with pytest.warns(RuntimeWarning, match="upper bound"):
+        capped = sync_radius(x)
+    assert exact < capped <= math.pi
 
 
 def test_edge_angles_match_pairwise_loop():
