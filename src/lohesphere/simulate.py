@@ -26,7 +26,7 @@ from .dynamics import (
     kuramoto_rhs,
 )
 from .network import CouplingGraph
-from .spectral import assemble_A, configuration_tangent_basis
+from .spectral import configuration_tangent_basis, field_jacobian
 
 
 class IntegrationDiverged(RuntimeError):
@@ -282,74 +282,62 @@ def _residual(system: LoheSystem, x: np.ndarray) -> float:
 
 
 def find_equilibrium(
-    system: LoheSystem,
-    x0: np.ndarray,
-    tol: float = 1e-10,
-    max_time: float = 200.0,
-    dt: float = 1e-2,
-    newton_iters: int = 40,
+    system: LoheSystem, x0: np.ndarray, tol: float = 1e-10, max_time: float = 200.0
 ) -> EquilibriumResult:
     """Refine x0 to an equilibrium of the full field.
 
-    Integrates the flow until the residual max_i |rhs_i| falls below
-    10 * tol or the time budget runs out (max_time = 0 skips straight to
-    the polish), then applies damped Newton steps in tangent coordinates
-    with the exact Jacobian T^T A T (A differs from the field's derivative
-    only in normal directions). The lowest-residual state seen anywhere is
-    kept, so a failed polish cannot lose ground. The flow steps the same
-    kernel as integrate, so its results differ from earlier versions in
-    their last digits. A collapsed agent norm or a non-finite state in the
-    flow raises IntegrationDiverged.
+    Integrates the flow in steps of 0.01 until the residual max_i |rhs_i|
+    falls below 10 * tol or the time budget runs out (max_time = 0 skips
+    straight to the polish), then applies up to 40 damped Gauss-Newton
+    steps in tangent coordinates. Each step is the minimum-norm least
+    squares solution of J xi = -F, with F the full residual hetero_rhs and
+    J = field_jacobian @ T the field's exact derivative; the minimum norm
+    keeps the step off the rotations that leave equilibria degenerate.
+    The lowest-residual state seen anywhere is kept, so a failed polish
+    cannot lose ground. A non-finite row or a row of norm <= 1e-8 in x0
+    raises IntegrationDiverged at t = 0; a collapsed agent norm or a
+    non-finite state in the flow raises it at the failing step's end time.
     """
-    x = np.array(x0, dtype=float)
-    x = x / np.linalg.norm(x, axis=1, keepdims=True)
+    x = _check_state(system, np.array(x0, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise IntegrationDiverged(0.0)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if norms.min() <= 1e-8:
+        raise IntegrationDiverged(0.0, "agent norm collapsed")
+    x = x / norms
     res = _residual(system, x)
-    if res <= tol:
-        return EquilibriumResult(config=x, residual=res, iterations=0, converged=True)
 
-    best_x, best_res = x.copy(), res
+    best_x, best_res = x, res
     field = extended_field(system)
-    t = 0.0
+    dt, t = 1e-2, 0.0
     while t < max_time and res > 10.0 * tol:
-        span = min(5.0, max_time - t)
-        steps = max(1, int(round(span / dt)))
-        for _ in range(steps):
-            x, _ = _sphere_step(field, x, dt, t)
+        steps = max(1, int(round(min(5.0, max_time - t) / dt)))
+        for k in range(1, steps + 1):
+            x, _ = _sphere_step(field, x, dt, t + k * dt)
         t += steps * dt
         res = _residual(system, x)
         if res < best_res:
-            best_x, best_res = x.copy(), res
+            best_x, best_res = x, res
 
-    x, res = best_x.copy(), best_res
+    # every accepted step lowers the residual, so x stays the best point
+    x, res = best_x, best_res
     accepted = 0
-    for _ in range(newton_iters):
+    for _ in range(40):
         if res <= tol:
             break
         T = configuration_tangent_basis(x)
-        F = T.T @ hetero_rhs(system, x).ravel()
-        J = T.T @ assemble_A(system, x) @ T
-        # Tikhonov damping handles the rotational degeneracy of equilibria
-        lhs = J.T @ J + 1e-8 * np.eye(len(F))
-        rhs = -J.T @ F
-        try:
-            xi = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            break
-        moved = False
+        J = field_jacobian(system, x) @ T
+        xi = np.linalg.lstsq(J, -hetero_rhs(system, x).ravel(), rcond=None)[0]
+        step = (T @ xi).reshape(x.shape)
         for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64):
-            cand = x + damp * (T @ xi).reshape(x.shape)
+            cand = x + damp * step
             cand = cand / np.linalg.norm(cand, axis=1, keepdims=True)
             cres = _residual(system, cand)
             if cres < res:
                 x, res = cand, cres
                 accepted += 1
-                moved = True
                 break
-        if not moved:
+        else:
             break
-        if res < best_res:
-            best_x, best_res = x.copy(), res
 
-    return EquilibriumResult(
-        config=best_x, residual=best_res, iterations=accepted, converged=best_res <= tol
-    )
+    return EquilibriumResult(config=x, residual=res, iterations=accepted, converged=res <= tol)

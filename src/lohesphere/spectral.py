@@ -60,18 +60,31 @@ def assemble_B(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
     return B
 
 
-def _add_frequency_blocks(system: LoheSystem, M: np.ndarray) -> np.ndarray:
-    """Add Omega_i to the i-th diagonal block of M in place; returns M."""
-    N, d = system.omegas.shape[:2]
+def _add_diagonal_blocks(M: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Add blocks[i] to the i-th diagonal block of M in place; returns M."""
+    N, d = blocks.shape[:2]
     nodes = np.arange(N)
-    M.reshape(N, d, N, d)[nodes, :, nodes, :] += system.omegas
+    M.reshape(N, d, N, d)[nodes, :, nodes, :] += blocks
     return M
 
 
 def assemble_A(system: LoheSystem, x: np.ndarray) -> np.ndarray:
     """Full linearization B + diag(Omega_1, ..., Omega_N)."""
     x = _check_state(system, x)
-    return _add_frequency_blocks(system, assemble_B(system.graph, x))
+    return _add_diagonal_blocks(assemble_B(system.graph, x), system.omegas)
+
+
+def field_jacobian(system: LoheSystem, x: np.ndarray) -> np.ndarray:
+    """Derivative of hetero_rhs at unit rows x, exact on tangent directions.
+
+    A - diag(x_1 S_1^T, ..., x_N S_N^T) with S = W x: the extra blocks give
+    the normal component of the derivative, which A drops. Times T from
+    configuration_tangent_basis it is the field's Jacobian in tangent
+    coordinates.
+    """
+    x = _check_state(system, x)
+    S = system.graph.weight_matrix @ x
+    return _add_diagonal_blocks(assemble_A(system, x), -x[:, :, None] * S[:, None, :])
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -109,11 +122,8 @@ def fd_jacobian(system: LoheSystem, x: np.ndarray, h: float = 1e-5) -> np.ndarra
     """Central-difference Jacobian of the ambient extension field at x.
 
     Column e is (F(x + h e) - F(x - h e)) / (2 h) flattened row-major.
-    A test oracle for the exact assemble_A: the two agree on tangent
-    directions at equilibria of the homogeneous field; at heterogeneous
-    equilibria the match is exact only after projecting columns back to
-    the tangent space, because the extension differentiates the
-    normalization as well.
+    A test oracle for the exact field_jacobian, which it matches on
+    tangent directions at any unit configuration.
     """
     x = _check_config(system.graph, x)
     N, d = x.shape
@@ -188,7 +198,7 @@ def linearize(system: LoheSystem, x: np.ndarray) -> LinearizationReport:
     sym = np.linalg.eigvalsh(M)
     beta = float(sym[-1])
     if np.any(system.omegas):
-        spec = eigenvalues(_add_frequency_blocks(system, M))
+        spec = eigenvalues(_add_diagonal_blocks(M, system.omegas))
     else:
         spec = sym[::-1].astype(complex)
     alpha = float(spec[0].real)

@@ -429,15 +429,16 @@ def test_sweep_over_agent_count(tmp_path, monkeypatch):
 
 
 def test_sweep_names_unconverged_cells_on_stderr(tmp_path, capsys, monkeypatch):
-    # Both cells of this equilibrated sweep stop at the Newton budget.
+    # Drift this far above the coupling leaves no equilibrium to find, so
+    # both cells of this equilibrated sweep stop short (residual about 13).
     monkeypatch.chdir(tmp_path)
     cfg = {
-        "graph": {"type": "cycle", "N": 12, "k": 1.0},
-        "n": 2,
+        "graph": {"type": "cycle", "N": 6, "k": 1.0},
+        "n": 3,
         "init": {"mode": "twisted", "q": 1},
-        "frequencies": {"mode": "random", "total_norm": 0.3652, "units": "theorem_rhs"},
-        "sweep": {"var": "omega_total", "values": [0.3652, 1.5454], "trials": 1,
-                  "units": "theorem_rhs", "equilibrate": True},
+        "frequencies": {"mode": "random", "total_norm": 60.0, "units": "absolute"},
+        "sweep": {"var": "omega_total", "values": [60.0, 80.0], "trials": 1,
+                  "units": "absolute", "equilibrate": True},
         "seed": 7,
     }
     path = _write(tmp_path, cfg)
@@ -455,6 +456,27 @@ def test_sweep_names_unconverged_cells_on_stderr(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, cfg, "exact.json")
     assert main(["sweep", "--config", path, "--out", "exact"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_sweep_equilibrates_twisted_ring_under_drift(tmp_path, capsys, monkeypatch):
+    # Both cells have an equilibrium near the start, so the re-polish
+    # converges and nothing is named on stderr.
+    monkeypatch.chdir(tmp_path)
+    cfg = {
+        "graph": {"type": "cycle", "N": 12, "k": 1.0},
+        "n": 2,
+        "init": {"mode": "twisted", "q": 1},
+        "frequencies": {"mode": "random", "total_norm": 0.3652, "units": "theorem_rhs"},
+        "sweep": {"var": "omega_total", "values": [0.3652, 1.5454], "trials": 1,
+                  "units": "theorem_rhs", "equilibrate": True},
+        "seed": 7,
+    }
+    path = _write(tmp_path, cfg)
+    assert main(["sweep", "--config", path]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "run_sweep.csv").read_text().strip().split("\n")
+    assert [row.split(",")[4:] for row in rows[1:]] == [
+        ["true", "false", "false"], ["false", "false", "false"]]
 
 
 def test_sweep_empty_values_exits_2(tmp_path, capsys, monkeypatch):

@@ -510,6 +510,66 @@ def test_find_equilibrium_newton_needs_no_finite_differences(monkeypatch):
     assert np.max(np.abs(res.config - eq.config)) <= 1e-8
 
 
+def test_find_equilibrium_signature_has_no_tuning_knobs():
+    import inspect
+
+    assert list(inspect.signature(find_equilibrium).parameters) == [
+        "system", "x0", "tol", "max_time"]
+
+
+@pytest.mark.parametrize("bad_row", [[np.nan, 0.0, 1.0], [0.0, 0.0, 0.0]])
+def test_find_equilibrium_rejects_bad_start_rows(bad_row):
+    sys = _homo(cycle_graph(4, gain=1.0))
+    x0 = twisted_state(4, 1, n=2)
+    x0[2] = bad_row
+    for max_time in (0.0, 5.0):
+        with pytest.raises(IntegrationDiverged) as exc:
+            find_equilibrium(sys, x0, max_time=max_time)
+        assert exc.value.time == 0.0
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        find_equilibrium(sys, x0[:, :2])
+
+
+def test_find_equilibrium_flow_divergence_is_stamped_with_the_step_time(monkeypatch):
+    # no equilibrium exists at this budget, so the flow runs past t = 7;
+    # the patched field turns non-finite from the first stage of step 701,
+    # which ends at t = 7.01, inside the second 5-second chunk
+    import lohesphere.simulate
+
+    g = path_graph(3, gain=1.0)
+    rng = np.random.default_rng(0)
+    sys = LoheSystem(g, random_frequencies(rng, 3, 1, total_norm=100.0))
+    x0 = random_configuration(rng, 3, 1)
+    real_field = lohesphere.simulate.extended_field
+    calls = [0]
+
+    def failing_field(system):
+        f = real_field(system)
+
+        def field(v):
+            calls[0] += 1
+            return f(v) if calls[0] <= 4 * 700 else np.full_like(v, np.nan)
+
+        return field
+
+    monkeypatch.setattr(lohesphere.simulate, "extended_field", failing_field)
+    with pytest.raises(IntegrationDiverged) as exc:
+        find_equilibrium(sys, x0, tol=1e-10, max_time=20.0)
+    assert exc.value.time == pytest.approx(7.01, abs=1e-9)
+    assert calls[0] == 4 * 700 + 4
+
+
+def test_find_equilibrium_converges_from_twisted_start_under_drift():
+    # Newton on A alone, without the normal blocks x_i S_i^T, takes no
+    # step from this start
+    sys = LoheSystem(complete_graph(6, gain=1.0),
+                     random_frequencies(np.random.default_rng([7, 2, 20]), 6, 2, 0.2))
+    res = find_equilibrium(sys, twisted_state(6, 1, 2), tol=1e-10, max_time=0.0)
+    assert res.converged
+    assert res.residual <= 1e-10
+    assert res.iterations >= 1
+
+
 def test_kuramoto_identical_frequencies_hold_equal_angles():
     g = complete_graph(3, gain=1.0)
     omega = np.zeros(3)

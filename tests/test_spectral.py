@@ -24,6 +24,7 @@ from lohesphere.spectral import (
     configuration_tangent_basis,
     eigenvalues,
     fd_jacobian,
+    field_jacobian,
     kahan_bound,
     linearize,
     spectral_abscissa,
@@ -256,6 +257,22 @@ def test_fd_jacobian_matches_A_at_heterogeneous_equilibrium():
             [x[i] * float((sys.omegas[i] @ x[i]) @ u.reshape(3, 3)[i]) for i in range(3)]
         )
         assert np.linalg.norm(diff - leak.reshape(-1)) <= 1e-5 * nA
+
+
+def test_field_jacobian_matches_fd_on_tangent_directions():
+    # random heterogeneous configurations, far from any equilibrium: the
+    # normal blocks x_i S_i^T are what A alone misses there
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        N = int(rng.integers(2, 7))
+        n = int(rng.integers(1, 4))
+        sys = LoheSystem(_random_graph(rng, N), random_frequencies(rng, N, n, total_norm=0.8))
+        x = random_configuration(rng, N, n)
+        T = configuration_tangent_basis(x)
+        nA = spectral_norm(assemble_A(sys, x))
+        fd = fd_jacobian(sys, x, h=1e-5) @ T
+        assert spectral_norm(fd - field_jacobian(sys, x) @ T) <= 1e-5 * nA
+        assert spectral_norm(fd - assemble_A(sys, x) @ T) > 1e-3 * nA
 
 
 def test_fd_jacobian_single_rotating_agent():
