@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class ConfigError(ValueError):
 _GRAPH_TYPES = ("path", "cycle", "complete", "edges")
 _TOP_KEYS = {"graph", "n", "frequencies", "init", "integrate", "analysis", "seed", "out", "sweep"}
 MAX_STEPS = 10**8  # largest RK4 step count t_end / dt that a config may ask for
+MAX_DENSE_ELEMENTS = 10**8  # largest dense float64 array (800 MB) that a config may ask for
+MAX_ITEMS = 10**6  # most graph edges, and most sweep cells, that a config may ask for
 
 
 def _require_keys(section: dict, allowed: set, where: str) -> None:
@@ -118,6 +120,18 @@ def _validate_graph(section) -> dict:
     }
 
 
+def _require_size(graph: dict, n: int) -> None:
+    """Reject a graph and dimension whose arrays would not fit, before any is built."""
+    N = graph["N"]
+    edges = len(graph["edges"]) if graph["type"] == "edges" else {
+        "path": N - 1, "cycle": N, "complete": N * (N - 1) // 2}[graph["type"]]
+    if edges > MAX_ITEMS:
+        raise ConfigError(f"graph has {edges} edges, more than {MAX_ITEMS}")
+    for what, size in (("weight matrix", N * N), ("frequency array", N * (n + 1) ** 2)):
+        if size > MAX_DENSE_ELEMENTS:
+            raise ConfigError(f"the {what} has {size} entries, more than {MAX_DENSE_ELEMENTS}")
+
+
 def _validate_frequencies(section) -> dict:
     if not isinstance(section, dict):
         raise ConfigError("frequencies must be an object")
@@ -193,10 +207,13 @@ def _validate_sweep(section) -> dict:
     equilibrate = section.get("equilibrate", False)
     if not isinstance(equilibrate, bool):
         raise ConfigError("sweep.equilibrate must be a boolean")
+    trials = _as_int(section.get("trials", 1), "sweep.trials", 1)
+    if len(clean) * trials > MAX_ITEMS:
+        raise ConfigError(f"sweep has {len(clean) * trials} cells, more than {MAX_ITEMS}")
     return {
         "var": var,
         "values": clean,
-        "trials": _as_int(section.get("trials", 1), "sweep.trials", 1),
+        "trials": trials,
         "units": units,
         "equilibrate": equilibrate,
     }
@@ -245,6 +262,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(out, str) or not out:
         raise ConfigError("out must be a nonempty string")
     sweep = _validate_sweep(raw["sweep"]) if "sweep" in raw else None
+    _require_size(graph, n)
+    if sweep is not None and sweep["var"] == "N":
+        for v in sweep["values"]:
+            _require_size({**graph, "N": v}, n)
+    elif sweep is not None and sweep["var"] == "n":
+        for v in sweep["values"]:
+            _require_size(graph, v)
 
     return ExperimentConfig(
         graph=graph, n=n, frequencies=freqs, init=init, integrate=integ,
@@ -339,9 +363,15 @@ def _build_all(cfg: ExperimentConfig, rng):
     return system, x0
 
 
-def _require_certificate_dim(ns) -> None:
-    if min(ns) < 2:  # the frequency budget theorem_rhs is defined for n >= 2 only
-        raise ConfigError(f"the instability certificate needs n >= 2, got n = {min(ns)}")
+def _require_certificate(configs) -> None:
+    """Reject configs whose certificate is undefined or too large to linearize."""
+    for c in configs:
+        if c.n < 2:  # the frequency budget theorem_rhs is defined for n >= 2 only
+            raise ConfigError(f"the instability certificate needs n >= 2, got n = {c.n}")
+        m = c.graph["N"] * (c.n + 1)
+        if m * m > MAX_DENSE_ELEMENTS:
+            raise ConfigError(f"the linearization has {m * m} entries, "
+                              f"more than {MAX_DENSE_ELEMENTS}")
 
 
 def _fmt(v: float) -> str:
@@ -355,7 +385,7 @@ def _fmt_bool(b: bool) -> str:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Integrate one trajectory, write CSV + final JSON, print a summary."""
     if any(cfg.analysis.values()):
-        _require_certificate_dim([cfg.n])
+        _require_certificate([cfg])
     rng = np.random.default_rng(cfg.seed)
     system, x0 = _build_all(cfg, rng)
     traj = integrate(
@@ -399,7 +429,7 @@ def cmd_linearize(cfg: ExperimentConfig) -> int:
     candidate equilibria and refined locally by Newton polish alone;
     random starts get the full integrate-then-polish budget.
     """
-    _require_certificate_dim([cfg.n])
+    _require_certificate([cfg])
     rng = np.random.default_rng(cfg.seed)
     system, x0 = _build_all(cfg, rng)
     local_start = cfg.init["mode"] in ("twisted", "explicit")
@@ -429,119 +459,89 @@ def _trial_seed(master: int, value_index: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _sweep_point(payload: dict):
-    """Evaluate one (value, trial) sweep cell. Runs in worker processes.
-
-    Returns the CSV fields, then find_equilibrium's converged flag and
-    residual (True and None when the cell is not equilibrated).
-    """
-    cfg = ExperimentConfig(**payload["config"])
-    var, value = payload["var"], payload["value"]
+def _cell_config(cfg: ExperimentConfig, var: str, value, units: str) -> ExperimentConfig:
+    """cfg with the swept variable var set to value."""
+    if var == "K" and cfg.graph["type"] == "edges":
+        scale = value / min(e[2] for e in cfg.graph["edges"])
+        edges = [[i, j, k * scale] for i, j, k in cfg.graph["edges"]]
+        return replace(cfg, graph={**cfg.graph, "edges": edges})
     if var == "K":
-        if cfg.graph["type"] == "edges":
-            scale = value / min(e[2] for e in cfg.graph["edges"])
-            edges = [[e[0], e[1], e[2] * scale] for e in cfg.graph["edges"]]
-            cfg.graph = {**cfg.graph, "edges": edges}
-        else:
-            cfg.graph = {**cfg.graph, "k": float(value)}
-    elif var == "N":
+        return replace(cfg, graph={**cfg.graph, "k": value})
+    if var == "N":
         if cfg.graph["type"] == "edges":
             raise ConfigError("sweep over N requires a generated graph type")
-        cfg.graph = {**cfg.graph, "N": int(value)}
-    elif var == "n":
-        cfg.n = int(value)
-    elif var == "omega_total":
-        units = payload["units"]
-        cfg.frequencies = {"mode": "random", "total_norm": float(value), "units": units}
+        return replace(cfg, graph={**cfg.graph, "N": value})
+    if var == "n":
+        return replace(cfg, n=value)
+    return replace(cfg, frequencies={"mode": "random", "total_norm": value, "units": units})
 
-    seed = _trial_seed(cfg.seed, payload["value_index"], payload["trial"])
-    rng = np.random.default_rng(seed)
-    system, x0 = _build_all(cfg, rng)
-    x, converged, residual = x0, True, None
-    if payload["equilibrate"]:
-        eq = find_equilibrium(system, x0)
-        x, converged, residual = eq.config, eq.converged, eq.residual
-    report = verify_theorem(system, x, factor=cfg.theorem_factor)
-    return (
-        float(value),
-        seed,
-        report.linearization.beta,
-        report.linearization.alpha_re,
-        report.premise_holds,
-        report.conclusion_holds,
-        report.dispersed.dispersed,
-        converged,
-        residual,
-    )
+
+def _sweep_point(cell: tuple):
+    """Certify one (config, seed, equilibrate) sweep cell. Runs in worker processes.
+
+    Returns the BoundReport and the EquilibriumResult, which is None when
+    the cell is not equilibrated.
+    """
+    cfg, seed, equilibrate = cell
+    system, x0 = _build_all(cfg, np.random.default_rng(seed))
+    eq = find_equilibrium(system, x0) if equilibrate else None
+    return verify_theorem(system, x0 if eq is None else eq.config, factor=cfg.theorem_factor), eq
 
 
 def cmd_sweep(cfg: ExperimentConfig, sweep: dict) -> int:
     """Evaluate the certificate across a parameter grid, one CSV row per trial.
 
-    Cells whose equilibration stopped short of its tolerance are named on
-    stderr, in cell order; the CSV and the exit code do not change.
+    Every cell's config is resolved and checked before any cell runs. Cells that stop short of
+    equilibrium are named on stderr in cell order; the CSV and the exit code do not change.
     """
     if sweep is None:
         raise ConfigError("sweep command needs a sweep section in the config")
     if sweep["var"] == "omega_total" and cfg.frequencies["mode"] == "explicit":
         raise ConfigError("sweep over omega_total requires non-explicit frequencies")
-    _require_certificate_dim(sweep["values"] if sweep["var"] == "n" else [cfg.n])
-    base = {
-        "graph": cfg.graph, "n": cfg.n, "frequencies": cfg.frequencies,
-        "init": cfg.init, "integrate": cfg.integrate, "analysis": cfg.analysis,
-        "seed": cfg.seed, "out": cfg.out, "sweep": None,
-        "theorem_factor": cfg.theorem_factor, "workers": 1,
-    }
-    payloads = [
-        {
-            "config": base,
-            "var": sweep["var"],
-            "value": value,
-            "value_index": vi,
-            "trial": trial,
-            "units": sweep["units"],
-            "equilibrate": sweep["equilibrate"],
-        }
-        for vi, value in enumerate(sweep["values"])
-        for trial in range(sweep["trials"])
-    ]
+    # a cell's config carries no copy of the grid to its worker
+    configs = [_cell_config(replace(cfg, sweep=None), sweep["var"], v, sweep["units"])
+               for v in sweep["values"]]
+    _require_certificate(configs)
+    cells = [(config, _trial_seed(cfg.seed, vi, trial), sweep["equilibrate"])
+             for vi, config in enumerate(configs) for trial in range(sweep["trials"])]
+    values = [value for value in sweep["values"] for _ in range(sweep["trials"])]
     # the fork start method launches every worker at the first submit, so
     # never ask for more workers than cells
-    workers = min(cfg.workers, len(payloads))
+    workers = min(cfg.workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+            results = list(pool.map(_sweep_point, cells))
     else:
-        rows = [_sweep_point(p) for p in payloads]
+        results = [_sweep_point(c) for c in cells]
 
     path = f"{cfg.out}_sweep.csv"
     with open(path, "w") as fh:
         fh.write("value,seed,beta,alpha_re,premise_holds,conclusion_holds,dispersed\n")
-        for value, seed, beta, alpha, prem, concl, disp, _, _ in rows:
-            fh.write(
-                f"{_fmt(value)},{seed},{_fmt(beta)},{_fmt(alpha)},"
-                f"{_fmt_bool(prem)},{_fmt_bool(concl)},{_fmt_bool(disp)}\n"
-            )
-    for value, seed, *_, converged, residual in rows:
-        if not converged:
+        for value, (_, seed, _), (rep, _) in zip(values, cells, results):
+            lin = rep.linearization
+            fh.write(f"{_fmt(value)},{seed},{_fmt(lin.beta)},{_fmt(lin.alpha_re)},"
+                     f"{_fmt_bool(rep.premise_holds)},{_fmt_bool(rep.conclusion_holds)},"
+                     f"{_fmt_bool(rep.dispersed.dispersed)}\n")
+    for value, (_, seed, _), (_, eq) in zip(values, cells, results):
+        if eq is not None and not eq.converged:
             print(f"warning: sweep cell value={_fmt(value)} seed={seed} found no "
-                  f"equilibrium (residual {residual:.3g}); certified at the best point",
+                  f"equilibrium (residual {eq.residual:.3g}); certified at the best point",
                   file=sys.stderr)
-    n_prem = sum(1 for r in rows if r[4])
-    n_concl = sum(1 for r in rows if r[5])
-    print(f"wrote {len(rows)} rows to {path} "
+    n_prem = sum(1 for rep, _ in results if rep.premise_holds)
+    n_concl = sum(1 for rep, _ in results if rep.conclusion_holds)
+    print(f"wrote {len(results)} rows to {path} "
           f"(premise_holds: {n_prem}, conclusion_holds: {n_concl})")
     return 0
 
 
 def cmd_fixtures() -> int:
-    """List the named configurations init.mode and fixture_by_name accept."""
-    print("built-in fixtures (usable via init.mode or by name):")
-    print("  twisted:N=<int>,q=<int>[,n=<int>]")
+    """List the built-in fixtures and the config init section that selects each."""
+    print("built-in fixtures (selected by the init section of a config):")
+    print("  twisted:N=<int>,q=<int>")
+    print('      config: "init": {"mode": "twisted", "q": <int>}, with N taken from graph.N')
     print("      N agents at phases 2*pi*q*i/N on a great circle;")
     print("      equilibrium of the homogeneous field on the cycle graph,")
     print("      dispersed for every winding 1 <= q < N")
-    print("  examples: twisted:N=6,q=1  twisted:N=12,q=2,n=3")
     return 0
 
 

@@ -139,6 +139,53 @@ def test_unbounded_step_count_exits_2(tmp_path, capsys, monkeypatch):
         assert err.startswith("config error:") and "t_end / integrate.dt" in err
 
 
+@pytest.mark.parametrize("raw", [
+    {"graph": {"type": "complete", "N": 1415}},  # 1,000,405 edges
+    {"graph": {"type": "path", "N": 10**4 + 1}},  # weight matrix
+    {"graph": {"type": "cycle", "N": 10}, "n": 3200},  # frequency array
+    {"graph": {"type": "cycle", "N": 10}, "sweep": {"var": "N", "values": [10, 20000]}},
+    {"graph": {"type": "cycle", "N": 10}, "sweep": {"var": "n", "values": [2, 10**5]}},
+    {"graph": {"type": "cycle", "N": 10}, "sweep": {"var": "K", "values": [1.0, 2.0],
+                                                    "trials": 500_001}},
+], ids=["edges", "weights", "frequencies", "swept-N", "swept-n", "cells"])
+def test_oversized_configs_are_rejected(raw):
+    with pytest.raises(ConfigError, match="more than"):
+        validate_config(raw)
+
+
+def test_size_limits_are_inclusive(monkeypatch):
+    validate_config({"graph": {"type": "complete", "N": 1414}})  # 998,991 edges
+    validate_config({"graph": {"type": "path", "N": 10**4}})
+    validate_config({"graph": {"type": "cycle", "N": 5},
+                     "sweep": {"var": "K", "values": [1.0, 2.0], "trials": 500_000}})
+    edges = [[1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0], [4, 5, 1.0], [1, 5, 1.0]]
+    monkeypatch.setattr(cli, "MAX_ITEMS", 5)
+    validate_config({"graph": {"type": "edges", "N": 5, "edges": edges}})
+    with pytest.raises(ConfigError, match="6 edges"):
+        validate_config({"graph": {"type": "edges", "N": 6, "edges": edges + [[5, 6, 1.0]]}})
+
+
+def test_oversized_linearization_is_rejected():
+    cli._require_certificate([validate_config({"graph": {"type": "cycle", "N": 3333}})])
+    with pytest.raises(ConfigError, match="linearization"):
+        cli._require_certificate([validate_config({"graph": {"type": "cycle", "N": 3334}})])
+
+
+@pytest.mark.parametrize("command, graph", [
+    ("simulate", {"type": "complete", "N": 10**5, "k": 1.0}),
+    ("linearize", {"type": "cycle", "N": 4000, "k": 1.0}),
+])
+def test_oversized_runs_exit_2_before_building(tmp_path, capsys, monkeypatch, command, graph):
+    def refuse(*args):
+        raise AssertionError("an oversized config reached _build_all")
+
+    monkeypatch.setattr(cli, "_build_all", refuse)
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, _base_cfg(graph=graph, init={"mode": "twisted", "q": 1}))
+    assert main([command, "--config", path]) == 2
+    assert "more than" in capsys.readouterr().err
+
+
 def test_simulate_homogeneous_path_syncs(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = _write(tmp_path, _base_cfg())
@@ -428,6 +475,58 @@ def test_sweep_over_agent_count(tmp_path, monkeypatch):
     assert all(float(ln.split(",")[2]) > 0 for ln in lines[1:])
 
 
+def _sweep_rows(path):
+    return [row.split(",") for row in path.read_text().strip().split("\n")[1:]]
+
+
+def test_sweep_over_gain_scales_an_edge_list(tmp_path, monkeypatch):
+    # beta is linear in the gains, and the sweep scales the smallest gain to K
+    monkeypatch.chdir(tmp_path)
+    edges = [[1, 2, 1.0], [2, 3, 2.0], [3, 4, 1.5], [4, 5, 1.0], [1, 5, 3.0]]
+    cfg = {
+        "graph": {"type": "edges", "N": 5, "edges": edges},
+        "n": 2,
+        "init": {"mode": "twisted", "q": 1},
+        "sweep": {"var": "K", "values": [0.5, 2.0], "trials": 1},
+    }
+    assert main(["sweep", "--config", _write(tmp_path, cfg)]) == 0
+    betas = [float(row[2]) for row in _sweep_rows(tmp_path / "run_sweep.csv")]
+    assert betas[0] > 0
+    assert betas[1] / betas[0] == pytest.approx(4.0, rel=1e-12)
+
+
+def test_sweep_over_sphere_dimension(tmp_path, monkeypatch):
+    # the twisted 6-ring has beta = 2 (1 - cos(pi / 3)) = 1 on every sphere
+    monkeypatch.chdir(tmp_path)
+    cfg = {
+        "graph": {"type": "cycle", "N": 6, "k": 1.0},
+        "init": {"mode": "twisted", "q": 1},
+        "sweep": {"var": "n", "values": [2, 3, 4], "trials": 1},
+    }
+    assert main(["sweep", "--config", _write(tmp_path, cfg)]) == 0
+    rows = _sweep_rows(tmp_path / "run_sweep.csv")
+    assert [row[0] for row in rows] == ["2", "3", "4"]
+    for row in rows:
+        assert float(row[2]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_sweep_over_agent_count_on_edge_list_exits_2_before_any_cell(tmp_path, capsys,
+                                                                     monkeypatch):
+    pools, built = [], []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: pools.append(max_workers))
+    monkeypatch.setattr(cli, "_build_all", lambda *args: built.append(args))
+    monkeypatch.chdir(tmp_path)
+    cfg = {
+        "graph": {"type": "edges", "N": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]]},
+        "init": {"mode": "twisted", "q": 1},
+        "sweep": {"var": "N", "values": [3, 4], "trials": 1},
+    }
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--workers", "2"]) == 2
+    assert "generated graph type" in capsys.readouterr().err
+    assert pools == [] and built == []
+    assert not (tmp_path / "run_sweep.csv").exists()
+
+
 def test_sweep_names_unconverged_cells_on_stderr(tmp_path, capsys, monkeypatch):
     # Drift this far above the coupling leaves no equilibrium to find, so
     # both cells of this equilibrated sweep stop short (residual about 13).
@@ -498,6 +597,7 @@ def test_fixtures_lists_twisted(capsys):
     assert main(["fixtures"]) == 0
     out = capsys.readouterr().out
     assert "twisted:N=" in out
+    assert '"init": {"mode": "twisted", "q": <int>}' in out
 
 
 def test_console_entry_point_installed(tmp_path):
