@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import LoheSystem, random_configuration, random_frequencies, zero_frequencies
 from .network import CouplingGraph, complete_graph, cycle_graph, from_edge_list, min_gain, path_graph
 from .simulate import IntegrationDiverged, find_equilibrium, integrate
-from .stability import theorem_rhs, twisted_state, verify_theorem
+from .stability import is_dispersed, theorem_rhs, twisted_state, verify_theorem
 
 
 class ConfigError(ValueError):
@@ -262,25 +262,22 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(out, str) or not out:
         raise ConfigError("out must be a nonempty string")
     sweep = _validate_sweep(raw["sweep"]) if "sweep" in raw else None
-    _require_size(graph, n)
-    if sweep is not None and sweep["var"] == "N":
-        for v in sweep["values"]:
-            _require_size({**graph, "N": v}, n)
-    elif sweep is not None and sweep["var"] == "n":
-        for v in sweep["values"]:
-            _require_size(graph, v)
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         graph=graph, n=n, frequencies=freqs, init=init, integrate=integ,
         analysis=analysis, seed=seed, out=out, sweep=sweep,
     )
+    for c in (cfg, *_run_configs(cfg)):
+        _require_size(c.graph, c.n)
+    return cfg
 
 
 def _reject_constant(name: str):
     raise ConfigError(f"config contains the non-finite constant {name}")
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, seed: int | None = None, out: str | None = None) -> ExperimentConfig:
+    """Read and validate a config; a seed or out that is not None replaces the config's own."""
     try:
         with open(path) as fh:
             raw = json.load(fh, parse_constant=_reject_constant)
@@ -288,29 +285,19 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    if isinstance(raw, dict):
+        raw.update((key, val) for key, val in (("seed", seed), ("out", out)) if val is not None)
     return validate_config(raw)
 
 
 def build_graph(spec: dict) -> CouplingGraph:
-    try:
-        if spec["type"] == "path":
-            return path_graph(spec["N"], spec["k"])
-        if spec["type"] == "cycle":
-            return cycle_graph(spec["N"], spec["k"])
-        if spec["type"] == "complete":
-            return complete_graph(spec["N"], spec["k"])
-        return from_edge_list(spec["N"], spec["edges"])
-    except ValueError as e:
-        raise ConfigError(str(e))
-
-
-def _resolve_total_norm(cfg: ExperimentConfig, graph: CouplingGraph) -> float:
-    total = cfg.frequencies["total_norm"]
-    if cfg.frequencies["units"] == "theorem_rhs":
-        total = total * theorem_rhs(
-            min_gain(graph), cfg.n, graph.n_nodes, factor=cfg.theorem_factor
-        )
-    return total
+    if spec["type"] == "path":
+        return path_graph(spec["N"], spec["k"])
+    if spec["type"] == "cycle":
+        return cycle_graph(spec["N"], spec["k"])
+    if spec["type"] == "complete":
+        return complete_graph(spec["N"], spec["k"])
+    return from_edge_list(spec["N"], spec["edges"])
 
 
 def build_frequencies(cfg: ExperimentConfig, graph: CouplingGraph, rng) -> np.ndarray:
@@ -318,10 +305,11 @@ def build_frequencies(cfg: ExperimentConfig, graph: CouplingGraph, rng) -> np.nd
     if mode == "zero":
         return zero_frequencies(graph.n_nodes, cfg.n)
     if mode == "random":
-        try:
-            total = _resolve_total_norm(cfg, graph)
-        except ValueError as e:
-            raise ConfigError(str(e))
+        total = cfg.frequencies["total_norm"]
+        if cfg.frequencies["units"] == "theorem_rhs":
+            total = total * theorem_rhs(
+                min_gain(graph), cfg.n, graph.n_nodes, factor=cfg.theorem_factor
+            )
         return random_frequencies(rng, graph.n_nodes, cfg.n, total)
     mats = np.asarray(cfg.frequencies["matrices"], dtype=float)
     if mats.shape != (graph.n_nodes, cfg.n + 1, cfg.n + 1):
@@ -337,10 +325,7 @@ def build_init(cfg: ExperimentConfig, graph: CouplingGraph, rng) -> np.ndarray:
     if mode == "random":
         return random_configuration(rng, graph.n_nodes, cfg.n)
     if mode == "twisted":
-        try:
-            return twisted_state(graph.n_nodes, cfg.init["q"], cfg.n)
-        except ValueError as e:
-            raise ConfigError(str(e))
+        return twisted_state(graph.n_nodes, cfg.init["q"], cfg.n)
     pts = np.asarray(cfg.init["points"], dtype=float)
     if pts.shape != (graph.n_nodes, cfg.n + 1):
         raise ConfigError(
@@ -353,14 +338,13 @@ def build_init(cfg: ExperimentConfig, graph: CouplingGraph, rng) -> np.ndarray:
 
 
 def _build_all(cfg: ExperimentConfig, rng):
-    graph = build_graph(cfg.graph)
-    omegas = build_frequencies(cfg, graph, rng)
+    """Build cfg's system and start; a config the library rejects is a ConfigError."""
     try:
-        system = LoheSystem(graph=graph, omegas=omegas)
+        graph = build_graph(cfg.graph)
+        system = LoheSystem(graph=graph, omegas=build_frequencies(cfg, graph, rng))
+        return system, build_init(cfg, graph, rng)
     except ValueError as e:
         raise ConfigError(str(e))
-    x0 = build_init(cfg, graph, rng)
-    return system, x0
 
 
 def _require_certificate(configs) -> None:
@@ -382,22 +366,22 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+def _write_json(path: str, obj: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Integrate one trajectory, write CSV + final JSON, print a summary."""
-    if any(cfg.analysis.values()):
+    certify = cfg.analysis["linearize"] or cfg.analysis["verify_theorem"]
+    if certify:
         _require_certificate([cfg])
-    rng = np.random.default_rng(cfg.seed)
-    system, x0 = _build_all(cfg, rng)
-    traj = integrate(
-        system,
-        x0,
-        dt=cfg.integrate["dt"],
-        t_end=cfg.integrate["t_end"],
-        sample_every=cfg.integrate["sample_every"],
-    )
+    system, x0 = _build_all(cfg, np.random.default_rng(cfg.seed))
+    traj = integrate(system, x0, **cfg.integrate)
     traj.write_csv(f"{cfg.out}_trajectory.csv")
     final = traj.final_json_dict()
-    if any(cfg.analysis.values()):
+    if certify:
         report = verify_theorem(system, traj.final_state, factor=cfg.theorem_factor)
         if cfg.analysis["linearize"]:
             final["linearization"] = report.linearization.to_json_dict()
@@ -408,18 +392,28 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 "premise_holds": report.premise_holds,
                 "conclusion_holds": report.conclusion_holds,
             }
-        if cfg.analysis["dispersed"]:
-            final["dispersed"] = report.dispersed.dispersed
-            final["hull_min_norm"] = report.dispersed.hull_min_norm
-    with open(f"{cfg.out}_final.json", "w") as fh:
-        json.dump(final, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    if cfg.analysis["dispersed"]:
+        disp = is_dispersed(traj.final_state)
+        final["dispersed"] = disp.dispersed
+        final["hull_min_norm"] = disp.hull_min_norm
+    _write_json(f"{cfg.out}_final.json", final)
     print(
         f"final V={final['disagreement']:.6g} "
         f"sync_radius={final['sync_radius']:.6g} "
         f"practically_synced={_fmt_bool(final['practically_synced'])}"
     )
     return 0
+
+
+def _certify(cfg: ExperimentConfig, seed: int, max_time: float | None):
+    """Build cfg from seed, refine its start for up to max_time of flow, and certify the point.
+
+    max_time None certifies the start itself. Returns the BoundReport and the
+    EquilibriumResult, which is None when the start is not refined.
+    """
+    system, x0 = _build_all(cfg, np.random.default_rng(seed))
+    eq = None if max_time is None else find_equilibrium(system, x0, tol=1e-10, max_time=max_time)
+    return verify_theorem(system, x0 if eq is None else eq.config, factor=cfg.theorem_factor), eq
 
 
 def cmd_linearize(cfg: ExperimentConfig) -> int:
@@ -430,18 +424,11 @@ def cmd_linearize(cfg: ExperimentConfig) -> int:
     random starts get the full integrate-then-polish budget.
     """
     _require_certificate([cfg])
-    rng = np.random.default_rng(cfg.seed)
-    system, x0 = _build_all(cfg, rng)
     local_start = cfg.init["mode"] in ("twisted", "explicit")
-    eq = find_equilibrium(system, x0, tol=1e-10, max_time=0.0 if local_start else 200.0)
-    report = verify_theorem(system, eq.config, factor=cfg.theorem_factor)
-    payload = report.to_json_dict()
-    payload["converged"] = eq.converged
-    payload["residual"] = eq.residual
-    payload["newton_iterations"] = eq.iterations
-    with open(f"{cfg.out}_report.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    report, eq = _certify(cfg, cfg.seed, 0.0 if local_start else 200.0)
+    payload = {**report.to_json_dict(), "converged": eq.converged, "residual": eq.residual,
+               "newton_iterations": eq.iterations}
+    _write_json(f"{cfg.out}_report.json", payload)
     lin = report.linearization
     print(f"beta={lin.beta:.10g} alpha_re={lin.alpha_re:.10g} omega_norm={lin.omega_norm:.10g}")
     print(
@@ -473,36 +460,39 @@ def _cell_config(cfg: ExperimentConfig, var: str, value, units: str) -> Experime
         return replace(cfg, graph={**cfg.graph, "N": value})
     if var == "n":
         return replace(cfg, n=value)
+    if cfg.frequencies["mode"] == "explicit":
+        raise ConfigError("sweep over omega_total requires non-explicit frequencies")
     return replace(cfg, frequencies={"mode": "random", "total_norm": value, "units": units})
 
 
+def _run_configs(cfg: ExperimentConfig) -> list:
+    """[cfg] without a sweep, else one config per swept value, in value order."""
+    sweep = cfg.sweep
+    if sweep is None:
+        return [cfg]
+    # a cell's config carries no copy of the grid to its worker
+    return [_cell_config(replace(cfg, sweep=None), sweep["var"], v, sweep["units"])
+            for v in sweep["values"]]
+
+
 def _sweep_point(cell: tuple):
-    """Certify one (config, seed, equilibrate) sweep cell. Runs in worker processes.
-
-    Returns the BoundReport and the EquilibriumResult, which is None when
-    the cell is not equilibrated.
-    """
-    cfg, seed, equilibrate = cell
-    system, x0 = _build_all(cfg, np.random.default_rng(seed))
-    eq = find_equilibrium(system, x0) if equilibrate else None
-    return verify_theorem(system, x0 if eq is None else eq.config, factor=cfg.theorem_factor), eq
+    """Certify one (config, seed, max_time) sweep cell. Runs in worker processes."""
+    return _certify(*cell)
 
 
-def cmd_sweep(cfg: ExperimentConfig, sweep: dict) -> int:
+def cmd_sweep(cfg: ExperimentConfig) -> int:
     """Evaluate the certificate across a parameter grid, one CSV row per trial.
 
     Every cell's config is resolved and checked before any cell runs. Cells that stop short of
     equilibrium are named on stderr in cell order; the CSV and the exit code do not change.
     """
+    sweep = cfg.sweep
     if sweep is None:
         raise ConfigError("sweep command needs a sweep section in the config")
-    if sweep["var"] == "omega_total" and cfg.frequencies["mode"] == "explicit":
-        raise ConfigError("sweep over omega_total requires non-explicit frequencies")
-    # a cell's config carries no copy of the grid to its worker
-    configs = [_cell_config(replace(cfg, sweep=None), sweep["var"], v, sweep["units"])
-               for v in sweep["values"]]
+    configs = _run_configs(cfg)
     _require_certificate(configs)
-    cells = [(config, _trial_seed(cfg.seed, vi, trial), sweep["equilibrate"])
+    max_time = 200.0 if sweep["equilibrate"] else None
+    cells = [(config, _trial_seed(cfg.seed, vi, trial), max_time)
              for vi, config in enumerate(configs) for trial in range(sweep["trials"])]
     values = [value for value in sweep["values"] for _ in range(sweep["trials"])]
     # the fork start method launches every worker at the first submit, so
@@ -572,13 +562,7 @@ def main(argv=None) -> int:
         return cmd_fixtures()
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            if not (0 <= args.seed < 2**64):
-                raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out = args.out
+        cfg = load_config(args.config, seed=args.seed, out=args.out)
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg.workers = args.workers
@@ -588,7 +572,7 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg)
         if args.command == "linearize":
             return cmd_linearize(cfg)
-        return cmd_sweep(cfg, cfg.sweep)
+        return cmd_sweep(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -33,8 +33,11 @@ class IntegrationDiverged(RuntimeError):
     """State left the representable regime (NaN/Inf or collapsed norms)."""
 
     def __init__(self, time: float, detail: str = "non-finite state"):
-        super().__init__(f"integration diverged at t={time:.6g}: {detail}")
+        super().__init__(time, detail)  # args rebuild the error when it is unpickled
         self.time = time
+
+    def __str__(self) -> str:
+        return f"integration diverged at t={self.time:.6g}: {self.args[1]}"
 
 
 @dataclass(frozen=True)

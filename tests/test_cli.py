@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import shutil
 import subprocess
 
@@ -10,6 +11,7 @@ import pytest
 
 from lohesphere import cli
 from lohesphere.cli import ConfigError, main, validate_config
+from lohesphere.simulate import IntegrationDiverged
 from lohesphere.stability import theorem_rhs
 
 
@@ -87,6 +89,17 @@ def test_assorted_config_rejections(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--out", ""), ("--seed", "-1"), ("--seed", str(2**64)),
+])
+def test_flag_overrides_obey_the_config_rules(tmp_path, capsys, monkeypatch, flag, value):
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, _base_cfg(integrate={"dt": 0.01, "t_end": 0.1, "sample_every": 1}))
+    assert main(["simulate", "--config", path, flag, value]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_unreadable_and_malformed_config(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
@@ -118,7 +131,7 @@ def test_non_finite_json_constants_exit_2(tmp_path, capsys, monkeypatch):
     [
         ("linearize", {"n": 1, "init": {"mode": "twisted", "q": 1}}),
         ("sweep", {"sweep": {"var": "n", "values": [2, 1]}}),
-        ("simulate", {"n": 1, "analysis": {"dispersed": True}}),
+        ("simulate", {"n": 1, "analysis": {"verify_theorem": True}}),
     ],
 )
 def test_certificate_on_the_circle_exits_2(tmp_path, capsys, monkeypatch, command, over):
@@ -231,6 +244,27 @@ def test_simulate_analysis_sections(tmp_path, monkeypatch):
     assert final["hull_min_norm"] <= 1e-9
 
 
+def test_simulate_dispersed_alone_runs_only_the_hull_test(tmp_path, monkeypatch):
+    # the hemisphere test needs no certificate: n = 1 is fine, and the
+    # certificate is never evaluated
+    def refuse(*args, **kwargs):
+        raise AssertionError("dispersed alone reached verify_theorem")
+
+    monkeypatch.setattr(cli, "verify_theorem", refuse)
+    monkeypatch.chdir(tmp_path)
+    for n, points in ((1, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                      (2, [[1.0, 0.0, 0.0]] * 4)):
+        cfg = _base_cfg(graph={"type": "cycle", "N": 4, "k": 1.0}, n=n,
+                        init={"mode": "explicit", "points": points},
+                        integrate={"dt": 0.01, "t_end": 0.01, "sample_every": 1},
+                        analysis={"dispersed": True})
+        assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 0
+        final = json.loads((tmp_path / "run_final.json").read_text())
+        assert final["dispersed"] is (n == 1)
+        assert (final["hull_min_norm"] <= 1e-9) is (n == 1)
+        assert "theorem" not in final and "linearization" not in final
+
+
 def test_simulate_divergence_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     big = 1e160
@@ -312,6 +346,32 @@ def test_linearize_twisted_cycle_homogeneous(tmp_path, capsys, monkeypatch):
     assert report["newton_iterations"] == 0
     assert report["residual"] <= 1e-12
     assert report["violated_links"] == []
+
+
+def test_readme_linearize_example(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = {
+        "graph": {"type": "cycle", "N": 6, "k": 1.0},
+        "n": 2,
+        "init": {"mode": "twisted", "q": 1},
+        "seed": 7,
+        "out": "twisted6",
+    }
+    assert main(["linearize", "--config", _write(tmp_path, cfg, "twisted6.json")]) == 0
+    assert capsys.readouterr().out == (
+        "beta=1 alpha_re=1 omega_norm=0\n"
+        "theorem_rhs=0.005983064144 premise_holds=true conclusion_holds=true "
+        "dispersed=true converged=true\n")
+    assert (tmp_path / "twisted6_report.json").exists()
+
+    # random drift at 90% of the bound: the certificate holds, but the
+    # refinement finds no exact equilibrium near the fixture
+    cfg["frequencies"] = {"mode": "random", "total_norm": 0.9, "units": "theorem_rhs"}
+    cfg["out"] = "drift"
+    assert main(["linearize", "--config", _write(tmp_path, cfg, "drift.json")]) == 4
+    assert "premise_holds=true conclusion_holds=true" in capsys.readouterr().out
+    report = json.loads((tmp_path / "drift_report.json").read_text())
+    assert report["converged"] is False
 
 
 def test_linearize_phase_synced_has_zero_beta(tmp_path, monkeypatch):
@@ -458,6 +518,27 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     assert seen == [4]  # one cell runs in process
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched find_equilibrium reaches the workers only by fork")
+def test_sweep_divergence_exits_3_at_every_worker_count(tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise IntegrationDiverged(1.5, "agent norm collapsed")
+
+    monkeypatch.setattr(cli, "find_equilibrium", diverge)
+    monkeypatch.chdir(tmp_path)
+    cfg = {
+        "graph": {"type": "cycle", "N": 5, "k": 1.0},
+        "init": {"mode": "twisted", "q": 1},
+        "sweep": {"var": "K", "values": [1.0, 2.0], "equilibrate": True},
+    }
+    path = _write(tmp_path, cfg)
+    errs = []
+    for workers in ("1", "2"):
+        assert main(["sweep", "--config", path, "--workers", workers]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs == ["error: integration diverged at t=1.5: agent norm collapsed\n"] * 2
+
+
 def test_sweep_over_agent_count(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = {
@@ -521,10 +602,11 @@ def test_sweep_over_agent_count_on_edge_list_exits_2_before_any_cell(tmp_path, c
         "init": {"mode": "twisted", "q": 1},
         "sweep": {"var": "N", "values": [3, 4], "trials": 1},
     }
-    assert main(["sweep", "--config", _write(tmp_path, cfg), "--workers", "2"]) == 2
-    assert "generated graph type" in capsys.readouterr().err
+    for command in ("sweep", "simulate", "linearize"):
+        assert main([command, "--config", _write(tmp_path, cfg), "--workers", "2"]) == 2
+        assert "generated graph type" in capsys.readouterr().err
     assert pools == [] and built == []
-    assert not (tmp_path / "run_sweep.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_sweep_names_unconverged_cells_on_stderr(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,13 @@ _FIELDS = ["graph.type", "graph.N", "graph.k", "n", "total_norm", "units", "q", 
 
 @st.composite
 def _small_configs(draw):
-    """A command and a small config; about half of them have one malformed value."""
+    """Command-line flags and a small config; about half of them have one malformed value."""
+    command = draw(st.sampled_from(["simulate", "linearize", "sweep"]))
+    flags = [command]
+    if command == "sweep":
+        flags += ["--workers", draw(st.sampled_from(["1", "2"]))]
+    flags += draw(st.sampled_from([[]] * 4 + [["--out", ""], ["--seed", "-1"],
+                                              ["--seed", str(2**64)], ["--seed", "3"]]))
     broken = draw(st.sampled_from([None] * len(_FIELDS) + _FIELDS))
 
     def pick(field, good):
@@ -65,7 +71,6 @@ def _small_configs(draw):
         "twisted": {"mode": "twisted", "q": pick("q", st.integers(1, 3))},
         "explicit": {"mode": "explicit", "points": [draw(unit) for _ in range(count)]},
     }[cfg["init"]]
-    command = draw(st.sampled_from(["simulate", "linearize", "sweep"]))
     if command == "sweep" or draw(st.booleans()):
         var = pick("sweep.var", st.sampled_from(["omega_total", "K", "N", "n"]))
         value = {"N": st.integers(3, 6), "n": st.integers(2, 3)}.get(str(var), st.floats(0.1, 3))
@@ -78,13 +83,13 @@ def _small_configs(draw):
     if command == "linearize" and cfg["init"]["mode"] == "random":
         # a random start runs the full equilibrium flow, about 2 s per example
         cfg["init"] = {"mode": "twisted", "q": 1}
-    return command, cfg
+    return flags, cfg
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(_small_configs())
 def test_every_config_ends_in_a_documented_exit_code(case):
-    command, cfg = case
+    flags, cfg = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg["out"] = os.path.join(tmp, "run")
         path = os.path.join(tmp, "cfg.json")
@@ -92,6 +97,6 @@ def test_every_config_ends_in_a_documented_exit_code(case):
             json.dump(cfg, fh)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, "--config", path])
+            code = main([*flags, "--config", path])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -118,6 +119,13 @@ def test_blowup_raises_with_positive_time():
         integrate(sys, x0, dt=1e160, t_end=1e162)
     assert exc.value.time > 0.0
     assert "diverged" in str(exc.value)
+
+
+def test_integration_diverged_survives_pickling():
+    # sweep workers hand the error back to the parent through pickle
+    err = pickle.loads(pickle.dumps(IntegrationDiverged(1.5, "agent norm collapsed")))
+    assert err.time == 1.5
+    assert str(err) == "integration diverged at t=1.5: agent norm collapsed"
 
 
 def test_sampling_grid_and_fractional_last_step():
