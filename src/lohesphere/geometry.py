@@ -119,26 +119,21 @@ def great_circle_point(phase: float, n: int) -> np.ndarray:
 
 
 def tangent_basis(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space at unit vector x.
+    """Orthonormal bases of the tangent spaces at unit vectors x, shape (..., d).
 
-    Returns a (d, d-1) matrix whose columns span the orthogonal
-    complement of x, built from a Householder reflection that maps e1
-    to x. Deterministic in x.
+    Returns (..., d, d-1): the columns of each (d, d-1) matrix span the
+    orthogonal complement of its x, built from a Householder reflection
+    that maps e1 to x. Deterministic in x, and row by row the same for a
+    batch as for one vector.
     """
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
+    d = x.shape[-1]
     # Reflection H with H e1 = sign-adjusted x; remaining columns of H
-    # are then an orthonormal basis of x's complement.
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    sign = 1.0 if x[0] >= 0 else -1.0
-    w = x + sign * e1
-    wn = np.linalg.norm(w)
-    if wn <= DEGENERATE_NORM:
-        # x = -e1 with sign +, cannot happen due to sign choice
-        H = np.eye(d)
-    else:
-        w = w / wn
-        H = np.eye(d) - 2.0 * np.outer(w, w)
+    # are then an orthonormal basis of x's complement. The sign makes
+    # |w_0| >= 1, so w never vanishes.
+    w = x.copy()
+    w[..., 0] += np.where(x[..., 0] >= 0, 1.0, -1.0)
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    H = np.eye(d) - 2.0 * w[..., :, None] * w[..., None, :]
     # H maps e1 to -sign * x, so columns 2..d are orthogonal to x
-    return H[:, 1:]
+    return H[..., :, 1:]

@@ -12,15 +12,18 @@ B is the linearization of the homogeneous field at its own equilibria;
 its largest eigenvalue beta controls instability there, and by a
 perturbation bound for skew perturbations of symmetric matrices the
 spectral abscissa of A stays within the total frequency norm of beta.
-With every Omega_i zero, A is B exactly: linearize then reads the whole
-spectrum of A off the symmetric solve that gives beta, so it is real and
-the Kahan gap is zero. Only heterogeneous systems pay for the dense
-nonsymmetric solve.
 
-Normal directions (each agent's own radial line) lie in the kernel of B
-by construction, so at a dispersed configuration the top eigenvalue of
-the full B equals the top tangent-restricted eigenvalue whenever the
-latter is positive.
+Every block of B is projected onto tangent spaces on both sides, so at a
+configuration of unit rows each agent's normal direction x_i is an exact
+kernel vector of B, and the spectrum of B is that of T^T B T plus N
+zeros, with T from configuration_tangent_basis. linearize assembles that
+(N (d-1))-square tangent block directly (assemble_B_tangent) and takes
+beta from its symmetric solve, with the N normal zeros merged in as
+exact 0.0; beta differs from an eigensolve of the (N d)-square B in its
+last digits. With every Omega_i zero, A is B exactly: linearize then
+reads the whole spectrum of A off that solve, so it is real, the Kahan
+gap is zero and no (N d)-square matrix is formed. Only heterogeneous
+systems pay for the dense nonsymmetric solve of A.
 """
 
 from __future__ import annotations
@@ -58,6 +61,29 @@ def assemble_B(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
     blocks[i, :, j, :] = k[:, None, None] * (P[i] @ P[j])
     blocks[j, :, i, :] = k[:, None, None] * (P[j] @ P[i])
     return B
+
+
+def assemble_B_tangent(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
+    """B in tangent coordinates, T^T B T, shape (N (d-1), N (d-1)).
+
+    x must hold unit rows. Since P_i T_i = T_i, the diagonal blocks are
+    -(sum_j k_ij <x_j, x_i>) I and the block of edge {i, j} is
+    k_ij T_i^T T_j, with T_i = tangent_basis(x_i).
+    """
+    x = _check_config(graph, x)
+    N, d = x.shape
+    r = d - 1
+    i, j, k = graph.edge_arrays
+    T = tangent_basis(x)
+    kc = k * np.vecdot(x[i], x[j])
+    align = np.bincount(i, kc, N) + np.bincount(j, kc, N)  # sum_j k_ij <x_j, x_i>
+    BT = np.zeros((N * r, N * r))
+    blocks = BT.reshape(N, r, N, r)
+    nodes = np.arange(N)
+    blocks[nodes, :, nodes, :] = -align[:, None, None] * np.eye(r)
+    blocks[i, :, j, :] = k[:, None, None] * (T[i].mT @ T[j])
+    blocks[j, :, i, :] = k[:, None, None] * (T[j].mT @ T[i])
+    return BT
 
 
 def _add_diagonal_blocks(M: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -185,20 +211,26 @@ class LinearizationReport:
 
 
 def linearize(system: LoheSystem, x: np.ndarray) -> LinearizationReport:
-    """Summarize the spectra of B and of A, which reuses B's buffer, at x.
+    """Summarize the spectra of B and of A at a configuration x of unit rows.
 
-    With every Omega_i zero, A is B exactly, so spectrum_A is the symmetric
-    solve that gives beta, real and in descending order, and kahan_gap is 0.
-    Otherwise A's spectrum comes from the dense nonsymmetric eigenvalues.
+    B's spectrum is the symmetric solve of its tangent block plus N exact
+    zeros, so beta is max(lambda_max(T^T B T), 0). With every Omega_i zero,
+    A is B exactly, so spectrum_A is that spectrum, real and in descending
+    order, and kahan_gap is 0. Otherwise A's spectrum comes from the dense
+    nonsymmetric eigenvalues of assemble_A. Raises ValueError when x is
+    not finite or a row's norm is off 1 by more than 1e-9, since B's
+    formula and its tangent split both need unit rows.
     """
     x = _check_state(system, x)
     if not np.all(np.isfinite(x)):
         raise ValueError("configuration has non-finite entries")
-    M = assemble_B(system.graph, x)
-    sym = np.linalg.eigvalsh(M)
+    if np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) > 1e-9:
+        raise ValueError("configuration rows must be unit vectors (within 1e-9)")
+    tangent = np.linalg.eigvalsh(assemble_B_tangent(system.graph, x))
+    sym = np.sort(np.concatenate((tangent, np.zeros(x.shape[0]))))
     beta = float(sym[-1])
     if np.any(system.omegas):
-        spec = eigenvalues(_add_diagonal_blocks(M, system.omegas))
+        spec = eigenvalues(assemble_A(system, x))
     else:
         spec = sym[::-1].astype(complex)
     alpha = float(spec[0].real)
@@ -219,12 +251,6 @@ def configuration_tangent_basis(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     N, d = x.shape
     T = np.zeros((N * d, N * (d - 1)))
-    for i in range(N):
-        T[i * d : (i + 1) * d, i * (d - 1) : (i + 1) * (d - 1)] = tangent_basis(x[i])
+    nodes = np.arange(N)
+    T.reshape(N, d, N, d - 1)[nodes, :, nodes, :] = tangent_basis(x)
     return T
-
-
-def tangent_restricted(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Compress an (N d, N d) operator to tangent coordinates, T^T M T."""
-    T = configuration_tangent_basis(x)
-    return T.T @ M @ T

@@ -169,3 +169,19 @@ def test_tangent_basis_orthonormal_complement():
         assert T.shape == (d, d - 1)
         assert np.allclose(T.T @ T, np.eye(d - 1), atol=1e-12)
         assert np.max(np.abs(T.T @ x)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_tangent_basis_batch_is_the_single_vector_basis(d):
+    rng = np.random.default_rng(31 + d)
+    x = rng.standard_normal((40, d))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    # both signs of the first coordinate, including the poles +-e1
+    x[0], x[1] = np.eye(d)[0], -np.eye(d)[0]
+    T = tangent_basis(x)
+    assert T.shape == (40, d, d - 1)
+    assert np.array_equal(tangent_basis(x.reshape(4, 10, d)), T.reshape(4, 10, d, d - 1))
+    for xi, Ti in zip(x, T):
+        assert np.array_equal(Ti, tangent_basis(xi))
+        assert np.allclose(Ti.T @ Ti, np.eye(d - 1), atol=1e-12)
+        assert np.max(np.abs(Ti.T @ xi)) <= 1e-12

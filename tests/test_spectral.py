@@ -21,6 +21,7 @@ from lohesphere.simulate import find_equilibrium
 from lohesphere.spectral import (
     assemble_A,
     assemble_B,
+    assemble_B_tangent,
     configuration_tangent_basis,
     eigenvalues,
     fd_jacobian,
@@ -29,7 +30,6 @@ from lohesphere.spectral import (
     linearize,
     spectral_abscissa,
     symmetric_top_eigenvalue,
-    tangent_restricted,
 )
 from lohesphere.stability import twisted_state
 
@@ -45,6 +45,12 @@ def _random_graph(rng, N):
         a, b = sorted(int(v) for v in rng.choice(N, size=2, replace=False))
         pairs.add((a, b))
     return from_edge_list(N, [(a + 1, b + 1, float(rng.uniform(0.1, 3.0))) for a, b in pairs])
+
+
+def _tangent_restricted(M, x):
+    """Compress an (N d, N d) operator to tangent coordinates, T^T M T."""
+    T = configuration_tangent_basis(x)
+    return T.T @ M @ T
 
 
 def _blockdiag(omegas):
@@ -320,7 +326,7 @@ def test_tangent_restriction_bounded_by_full_top_eigenvalue():
         B = assemble_B(complete_graph(5, gain=1.0), x)
         T = configuration_tangent_basis(x)
         assert np.allclose(T.T @ T, np.eye(T.shape[1]), atol=1e-13)
-        restricted = symmetric_top_eigenvalue(tangent_restricted(B, x))
+        restricted = symmetric_top_eigenvalue(_tangent_restricted(B, x))
         assert restricted <= symmetric_top_eigenvalue(B) + 1e-12
 
 
@@ -420,11 +426,53 @@ def test_linearize_heterogeneous_is_the_dense_path():
         sys = LoheSystem(g, random_frequencies(rng, g.n_nodes, n, total_norm=0.4))
         rep = linearize(sys, x)
         spec = eigenvalues(assemble_A(sys, x))
-        beta = float(np.linalg.eigvalsh(assemble_B(g, x))[-1])
+        beta = max(float(np.linalg.eigvalsh(assemble_B_tangent(g, x))[-1]), 0.0)
         assert np.array_equal(rep.spectrum_A, spec)
         assert rep.beta == beta
         assert rep.alpha_re == float(spec[0].real)
         assert rep.kahan_gap == abs(beta - float(spec[0].real))
+
+
+def _oracle_cases():
+    # the linearize cases plus edge lists with unequal gains, all at unit rows
+    yield from _linearize_cases()
+    rng = np.random.default_rng(2028)
+    for _ in range(8):
+        N = int(rng.integers(2, 12))
+        n = int(rng.integers(1, 5))
+        yield _random_graph(rng, N), n, random_configuration(rng, N, n)
+
+
+def test_assemble_B_tangent_is_the_tangent_restriction_of_B():
+    for g, n, x in _oracle_cases():
+        BT = assemble_B_tangent(g, x)
+        assert BT.shape == (g.n_nodes * n, g.n_nodes * n)
+        assert np.max(np.abs(BT - _tangent_restricted(assemble_B(g, x), x))) <= 1e-13
+
+
+def test_linearize_homogeneous_spectrum_is_the_dense_spectrum_of_B(monkeypatch):
+    # the tangent spectrum plus N normal zeros, without forming the N d-square B
+    cases = list(_oracle_cases())
+    with monkeypatch.context() as mp:
+        mp.setattr("lohesphere.spectral.assemble_B", _refuse)
+        reps = [linearize(LoheSystem(g, zero_frequencies(g.n_nodes, n)), x) for g, n, x in cases]
+    for (g, n, x), rep in zip(cases, reps):
+        B = assemble_B(g, x)
+        scale = max(1.0, spectral_norm(B))
+        assert np.max(np.abs(rep.spectrum_A - np.linalg.eigvalsh(B)[::-1])) <= 1e-12 * scale
+        assert np.count_nonzero(rep.spectrum_A == 0.0) >= g.n_nodes
+
+
+@pytest.mark.parametrize("total_norm", [0.0, 0.5])
+def test_linearize_rejects_rows_off_the_sphere(monkeypatch, total_norm):
+    g = cycle_graph(5, gain=1.0)
+    sys = LoheSystem(g, random_frequencies(np.random.default_rng(3), 5, 2, total_norm))
+    x = twisted_state(5, 1, n=2)
+    x[2] *= 1.0 + 1e-8
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", _refuse)
+    with pytest.raises(ValueError, match="unit"):
+        linearize(sys, x)
 
 
 @pytest.mark.parametrize("total_norm", [0.0, 0.5])
