@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -262,6 +261,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(out, str) or not out:
         raise ConfigError("out must be a nonempty string")
     sweep = _validate_sweep(raw["sweep"]) if "sweep" in raw else None
+    if sweep and sweep["var"] == "K" and graph["type"] == "edges":
+        # each swept value gets its own scaled copy of the edge list
+        copies = len(sweep["values"]) * len(graph["edges"])
+        if copies > MAX_ITEMS:
+            raise ConfigError(f"the K sweep scales {copies} edges, more than {MAX_ITEMS}")
 
     cfg = ExperimentConfig(
         graph=graph, n=n, frequencies=freqs, init=init, integrate=integ,
@@ -499,6 +503,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     # never ask for more workers than cells
     workers = min(cfg.workers, len(cells))
     if workers > 1:
+        # imported here, so that simulate and linearize do not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, cells))
     else:

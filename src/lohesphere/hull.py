@@ -67,7 +67,8 @@ def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e
     (p, iterations) : the optimal point and the major iteration count.
 
     The optimality certificate is min_i <x_i, p> >= |p|^2 - tol, which
-    for p = 0 is exact membership of the origin.
+    for p = 0 is exact membership of the origin. When max_iter runs out
+    and the last p fails it, p is returned with a RuntimeWarning.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -125,6 +126,11 @@ def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e
                 p = X[support[0]].copy()
                 weights = np.array([1.0])
                 break
+    else:
+        pp = float(p @ p)
+        if float(np.min(X @ p)) < pp - tol * max(1.0, pp):
+            warnings.warn(f"min_norm_point hit max_iter={max_iter}; returning a point "
+                          "that fails its optimality certificate", RuntimeWarning, stacklevel=2)
 
     return p, iterations
 

@@ -19,11 +19,21 @@ kernel vector of B, and the spectrum of B is that of T^T B T plus N
 zeros, with T from configuration_tangent_basis. linearize assembles that
 (N (d-1))-square tangent block directly (assemble_B_tangent) and takes
 beta from its symmetric solve, with the N normal zeros merged in as
-exact 0.0; beta differs from an eigensolve of the (N d)-square B in its
-last digits. With every Omega_i zero, A is B exactly: linearize then
-reads the whole spectrum of A off that solve, so it is real, the Kahan
-gap is zero and no (N d)-square matrix is formed. Only heterogeneous
-systems pay for the dense nonsymmetric solve of A.
+exact 0.0.
+
+When the rows span only a k-dimensional subspace U (k < d, numerical
+rank), B also splits along U and its complement: on the complement every
+projector is the identity and B is the graph matrix W - diag(align)
+repeated d - k times, and on U it is B of the same points written in k
+coordinates. A planar configuration, such as every twisted state, then
+costs one (N (k-1))-square and one N-square symmetric solve instead of
+one (N (d-1))-square solve; full-rank configurations take the tangent
+solve unchanged. Either way beta differs from an eigensolve of the
+(N d)-square B in its last digits. With every Omega_i zero, A is B
+exactly: linearize then reads the whole spectrum of A off those solves,
+so it is real, the Kahan gap is zero and no (N d)-square matrix is
+formed. Only heterogeneous systems pay for the dense nonsymmetric solve
+of A.
 """
 
 from __future__ import annotations
@@ -41,6 +51,13 @@ from .network import CouplingGraph
 SYM_TOL = 1e-10
 
 
+def _align(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
+    """sum_j k_ij <x_j, x_i> for every agent i, shape (N,)."""
+    i, j, k = graph.edge_arrays
+    kc = k * np.vecdot(x[i], x[j])
+    return np.bincount(i, kc, x.shape[0]) + np.bincount(j, kc, x.shape[0])
+
+
 def assemble_B(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
     """Symmetric coupling block matrix at configuration x, shape (N d, N d).
 
@@ -52,8 +69,7 @@ def assemble_B(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
     N, d = x.shape
     i, j, k = graph.edge_arrays
     P = np.eye(d) - x[:, :, None] * x[:, None, :]
-    kc = k * np.vecdot(x[i], x[j])
-    align = np.bincount(i, kc, N) + np.bincount(j, kc, N)  # sum_j k_ij <x_j, x_i>
+    align = _align(graph, x)
     B = np.zeros((N * d, N * d))
     blocks = B.reshape(N, d, N, d)
     nodes = np.arange(N)
@@ -75,8 +91,7 @@ def assemble_B_tangent(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
     r = d - 1
     i, j, k = graph.edge_arrays
     T = tangent_basis(x)
-    kc = k * np.vecdot(x[i], x[j])
-    align = np.bincount(i, kc, N) + np.bincount(j, kc, N)  # sum_j k_ij <x_j, x_i>
+    align = _align(graph, x)
     BT = np.zeros((N * r, N * r))
     blocks = BT.reshape(N, r, N, r)
     nodes = np.arange(N)
@@ -210,11 +225,36 @@ class LinearizationReport:
         }
 
 
+def _symmetric_spectrum(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of B at unit rows x, split along U = span(rows of x).
+
+    With k = rank(x) < d, B maps both sum_i U and sum_i U-perp into
+    themselves. On U it is B at y = x Q_k in R^k (Q_k the leading right
+    singular vectors); on U-perp every P_i is the identity, so it is
+    (W - diag(align)) kron I_(d-k). The spectrum is then that of y's
+    tangent block, N zeros, and the graph matrix's repeated d - k times:
+    N-square solves at k = 2. At k = d the tangent block of x is solved
+    whole.
+    """
+    N, d = x.shape
+    _, s, vt = np.linalg.svd(x, full_matrices=False)
+    k = int(np.count_nonzero(s > s[0] * max(N, d) * np.finfo(float).eps))  # matrix_rank
+    if k == d:
+        parts = [np.linalg.eigvalsh(assemble_B_tangent(graph, x))]
+    else:
+        G = graph.weight_matrix.copy()
+        G.flat[:: N + 1] -= _align(graph, x)
+        parts = [np.linalg.eigvalsh(assemble_B_tangent(graph, x @ vt[:k].T)),
+                 np.tile(np.linalg.eigvalsh(G), d - k)]
+    return np.sort(np.concatenate((*parts, np.zeros(N))))
+
+
 def linearize(system: LoheSystem, x: np.ndarray) -> LinearizationReport:
     """Summarize the spectra of B and of A at a configuration x of unit rows.
 
-    B's spectrum is the symmetric solve of its tangent block plus N exact
-    zeros, so beta is max(lambda_max(T^T B T), 0). With every Omega_i zero,
+    B's spectrum is the symmetric solve of its tangent block, split along
+    the span of the rows when they are rank deficient, plus N exact zeros,
+    so beta is max(lambda_max(T^T B T), 0). With every Omega_i zero,
     A is B exactly, so spectrum_A is that spectrum, real and in descending
     order, and kahan_gap is 0. Otherwise A's spectrum comes from the dense
     nonsymmetric eigenvalues of assemble_A. Raises ValueError when x is
@@ -226,8 +266,7 @@ def linearize(system: LoheSystem, x: np.ndarray) -> LinearizationReport:
         raise ValueError("configuration has non-finite entries")
     if np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) > 1e-9:
         raise ValueError("configuration rows must be unit vectors (within 1e-9)")
-    tangent = np.linalg.eigvalsh(assemble_B_tangent(system.graph, x))
-    sym = np.sort(np.concatenate((tangent, np.zeros(x.shape[0]))))
+    sym = _symmetric_spectrum(system.graph, x)
     beta = float(sym[-1])
     if np.any(system.omegas):
         spec = eigenvalues(assemble_A(system, x))

@@ -3,8 +3,10 @@
 import json
 import math
 import multiprocessing
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +178,34 @@ def test_size_limits_are_inclusive(monkeypatch):
     validate_config({"graph": {"type": "edges", "N": 5, "edges": edges}})
     with pytest.raises(ConfigError, match="6 edges"):
         validate_config({"graph": {"type": "edges", "N": 6, "edges": edges + [[5, 6, 1.0]]}})
+
+
+def test_k_sweep_on_edge_list_is_capped_before_cells_resolve(tmp_path, capsys, monkeypatch):
+    edges = [[1, 2, 1.0], [2, 3, 2.0], [1, 3, 0.5]]
+    monkeypatch.setattr(cli, "MAX_ITEMS", 6)
+    validate_config({"graph": {"type": "edges", "N": 3, "edges": edges},
+                     "sweep": {"var": "K", "values": [1.0, 2.0]}})  # 6 scaled edges
+    cfg = {"graph": {"type": "edges", "N": 3, "edges": edges},
+           "sweep": {"var": "K", "values": [1.0, 2.0, 3.0]}}
+    monkeypatch.setattr(cli, "_run_configs", _refuse_call)
+    with pytest.raises(ConfigError, match="K sweep scales 9 edges, more than 6"):
+        validate_config(cfg)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", _write(tmp_path, cfg)]) == 2
+    assert "K sweep scales 9 edges" in capsys.readouterr().err
+
+
+def _refuse_call(*args):
+    raise AssertionError("sweep cells resolved")
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, lohesphere.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_oversized_linearization_is_rejected():
@@ -497,7 +527,7 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     monkeypatch.chdir(tmp_path)
     cfg = {
         "graph": {"type": "cycle", "N": 5, "k": 1.0},
@@ -594,7 +624,8 @@ def test_sweep_over_sphere_dimension(tmp_path, monkeypatch):
 def test_sweep_over_agent_count_on_edge_list_exits_2_before_any_cell(tmp_path, capsys,
                                                                      monkeypatch):
     pools, built = [], []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: pools.append(max_workers))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda max_workers: pools.append(max_workers))
     monkeypatch.setattr(cli, "_build_all", lambda *args: built.append(args))
     monkeypatch.chdir(tmp_path)
     cfg = {

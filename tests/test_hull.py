@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,16 @@ def test_rejects_bad_input():
         min_norm_point(np.zeros((0, 3)))
     with pytest.raises(ValueError, match="finite"):
         min_norm_point(np.array([[np.inf, 0.0]]))
+
+
+def test_iteration_cap_warns_when_the_certificate_fails():
+    x = twisted_state(7, 1, 2)  # no antipodal pair: one step cannot reach the origin
+    with pytest.warns(RuntimeWarning, match="max_iter=1"):
+        p, iters = min_norm_point(x, max_iter=1)
+    assert iters == 1
+    assert np.min(x @ p) < p @ p - 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, _ = min_norm_point(x)  # converges well inside the default cap
+        min_norm_point(x[:1], max_iter=1)  # one point is optimal at once
+    assert np.linalg.norm(p) <= 1e-9

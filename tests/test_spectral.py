@@ -19,6 +19,7 @@ from lohesphere.network import (
 )
 from lohesphere.simulate import find_equilibrium
 from lohesphere.spectral import (
+    _symmetric_spectrum,
     assemble_A,
     assemble_B,
     assemble_B_tangent,
@@ -426,7 +427,7 @@ def test_linearize_heterogeneous_is_the_dense_path():
         sys = LoheSystem(g, random_frequencies(rng, g.n_nodes, n, total_norm=0.4))
         rep = linearize(sys, x)
         spec = eigenvalues(assemble_A(sys, x))
-        beta = max(float(np.linalg.eigvalsh(assemble_B_tangent(g, x))[-1]), 0.0)
+        beta = float(_symmetric_spectrum(g, x)[-1])
         assert np.array_equal(rep.spectrum_A, spec)
         assert rep.beta == beta
         assert rep.alpha_re == float(spec[0].real)
@@ -485,3 +486,96 @@ def test_linearize_rejects_non_finite_configuration(monkeypatch, total_norm):
     monkeypatch.setattr(np.linalg, "eigvals", _refuse)
     with pytest.raises(ValueError, match="non-finite"):
         linearize(sys, x)
+
+
+def _rank_k_cases():
+    # configurations spanning a k-dimensional subspace of R^d, k < d, turned
+    # by a random rotation; random graphs with unequal gains, one agent, and
+    # points that are not equilibria
+    rng = np.random.default_rng(2029)
+    for d in (3, 4, 5):
+        for k in range(1, d):
+            for N in (1, 2, 5, 13):
+                Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+                y = rng.standard_normal((N, k))
+                y /= np.linalg.norm(y, axis=1, keepdims=True)
+                x = np.hstack((y, np.zeros((N, d - k)))) @ Q.T
+                x /= np.linalg.norm(x, axis=1, keepdims=True)
+                g = CouplingGraph(1, (), ()) if N == 1 else _random_graph(rng, N)
+                yield g, d - 1, x
+    for N in (6, 10):  # twisted states are planar
+        yield cycle_graph(N, gain=1.0), 3, twisted_state(N, 1, 3)
+        yield complete_graph(N, gain=0.7), 4, twisted_state(N, 2, 4)
+
+
+def _solved_sizes(mp):
+    # record the size of every symmetric solve
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(M):
+        sizes.append(M.shape[0])
+        return eigvalsh(M)
+
+    mp.setattr(np.linalg, "eigvalsh", spy)
+    return sizes
+
+
+def test_symmetric_spectrum_split_is_the_dense_spectrum_of_B(monkeypatch):
+    rng = np.random.default_rng(2030)
+    for g, n, x in _rank_k_cases():
+        N = g.n_nodes
+        assert np.linalg.matrix_rank(x) < n + 1
+        B = assemble_B(g, x)
+        dense = np.linalg.eigvalsh(B)
+        scale = max(1.0, spectral_norm(B))
+        with monkeypatch.context() as mp:
+            sizes = _solved_sizes(mp)
+            mp.setattr(np.linalg, "eigvals", _refuse)
+            rep = linearize(LoheSystem(g, zero_frequencies(N, n)), x)
+        assert sizes == [N * (np.linalg.matrix_rank(x) - 1), N]
+        assert np.max(np.abs(rep.spectrum_A - dense[::-1])) <= 1e-12 * scale
+        assert np.count_nonzero(rep.spectrum_A == 0.0) >= N
+        drifted = linearize(LoheSystem(g, random_frequencies(rng, N, n, total_norm=0.4)), x)
+        assert abs(drifted.beta - dense[-1]) <= 1e-12 * scale
+
+
+def test_planar_homogeneous_certificate_solves_only_n_square_matrices(monkeypatch):
+    N = 40
+    g = _random_graph(np.random.default_rng(2031), N)
+    Q = np.linalg.qr(np.random.default_rng(2032).standard_normal((4, 4)))[0]
+    x = twisted_state(N, 3, 3) @ Q.T
+    eigvalsh = np.linalg.eigvalsh
+
+    def refuse_large(M):
+        if M.shape[0] > N:
+            raise AssertionError(f"solved a {M.shape[0]}-square matrix")
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse_large)
+    monkeypatch.setattr(np.linalg, "eigvals", _refuse)
+    rep = linearize(LoheSystem(g, zero_frequencies(N, 3)), x)
+    assert len(rep.spectrum_A) == N * 4
+
+
+def test_symmetric_spectrum_takes_the_full_rank_path_just_above_the_rank_tolerance(
+        monkeypatch):
+    N = 12
+    g = _random_graph(np.random.default_rng(2033), N)
+    planar = twisted_state(N, 1, 2)
+    tol = np.linalg.svd(planar, compute_uv=False)[0] * N * np.finfo(float).eps
+    for scale, full_rank in ((4.0, True), (0.125, False)):
+        x = planar.copy()
+        x[5] = x[5] + scale * tol * np.array([0.0, 0.0, 1.0])
+        x[5] /= np.linalg.norm(x[5])
+        assert (np.linalg.matrix_rank(x) == 3) == full_rank
+        with monkeypatch.context() as mp:
+            sizes = _solved_sizes(mp)
+            spec = _symmetric_spectrum(g, x)
+        assert sizes == ([2 * N] if full_rank else [N, N])
+        B = assemble_B(g, x)
+        assert np.max(np.abs(spec - np.linalg.eigvalsh(B))) <= 1e-12 * max(1.0, spectral_norm(B))
+    # at full rank the split is the tangent solve itself, bit for bit
+    x = random_configuration(np.random.default_rng(2034), N, 2)
+    tangent = np.linalg.eigvalsh(assemble_B_tangent(g, x))
+    assert np.array_equal(_symmetric_spectrum(g, x),
+                          np.sort(np.concatenate((tangent, np.zeros(N)))))
