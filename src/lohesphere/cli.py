@@ -397,7 +397,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 "conclusion_holds": report.conclusion_holds,
             }
     if cfg.analysis["dispersed"]:
-        disp = is_dispersed(traj.final_state)
+        disp = report.dispersed if certify else is_dispersed(traj.final_state)
         final["dispersed"] = disp.dispersed
         final["hull_min_norm"] = disp.hull_min_norm
     _write_json(f"{cfg.out}_final.json", final)

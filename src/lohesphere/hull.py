@@ -10,6 +10,14 @@ exactly with affine minimization minor cycles, dropping vertices whose
 affine weight goes nonpositive. The minor cycles terminate finitely, so
 the overall method reaches the optimum to solver precision instead of
 stalling at the O(1/k) rate of pure vertex steps.
+
+The affine step works on differences between support points, not on
+their Gram matrix: agents within an angle delta of each other, as near
+synchrony, have a Gram matrix within delta^2 of all ones, on which a
+solve loses about log10(1/delta^2) digits, while the differences are as
+well conditioned as the shape of the cluster at any delta. The shift it
+solves for starts from the support's centroid, which lies nearer the
+answer than any one vertex of a wide support.
 """
 
 from __future__ import annotations
@@ -34,23 +42,19 @@ MAX_FACETS = 50_000
 def _affine_min_norm(A: np.ndarray) -> np.ndarray:
     """Affine-combination weights minimizing |lam @ A| with sum(lam) = 1.
 
-    Solves the KKT system of the equality-constrained least squares
-    problem; falls back to least squares if the Gram matrix is singular
-    (affinely dependent support).
+    Takes the rows in lexicographic order of their values, S, and solves
+    for the weights as equal weights 1/m plus a shift: the first row takes
+    -sum(mu) and the others mu, the minimum-norm least-squares solution of
+    (S[1:] - S[0])^T mu = -mean(S). The value order makes the weights
+    independent of the order of the rows.
     """
-    m = A.shape[0]
-    G = A @ A.T
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[0, 1:] = 1.0
-    kkt[1:, 0] = 1.0
-    kkt[1:, 1:] = G
-    rhs = np.zeros(m + 1)
-    rhs[0] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return sol[1:]
+    order = np.lexsort(A.T)
+    S = A[order]
+    mu = np.linalg.lstsq((S[1:] - S[0]).T, -S.sum(axis=0) / len(S))[0]
+    lam = np.empty(len(A))
+    lam[order[0]] = 1.0 / len(A) - mu.sum()
+    lam[order[1:]] = 1.0 / len(A) + mu
+    return lam
 
 
 def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e-12):
@@ -67,8 +71,8 @@ def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e
     (p, iterations) : the optimal point and the major iteration count.
 
     The optimality certificate is min_i <x_i, p> >= |p|^2 - tol, which
-    for p = 0 is exact membership of the origin. When max_iter runs out
-    and the last p fails it, p is returned with a RuntimeWarning.
+    for p = 0 is exact membership of the origin. A returned p that fails
+    it, at max_iter or when the solve stalls, comes with a RuntimeWarning.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -109,29 +113,18 @@ def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e
             with np.errstate(divide="ignore", invalid="ignore"):
                 steps = np.where(mask & (denom > 0), weights / denom, np.inf)
             theta = float(np.min(steps))
-            if not np.isfinite(theta):
-                # weights already on the boundary in every blocked slot
-                theta = 0.0
             weights = (1.0 - theta) * weights + theta * lam
             weights[weights <= WEIGHT_FLOOR] = 0.0
             keep = weights > 0
-            if not np.any(keep):
-                # Numerical corner: keep the single best vertex
-                keep[int(np.argmax(lam))] = True
-                weights[keep] = 1.0
             support = [v for v, k in zip(support, keep) if k]
             weights = weights[keep]
             weights = weights / weights.sum()
-            if len(support) == 1:
-                p = X[support[0]].copy()
-                weights = np.array([1.0])
-                break
-    else:
-        pp = float(p @ p)
-        if float(np.min(X @ p)) < pp - tol * max(1.0, pp):
-            warnings.warn(f"min_norm_point hit max_iter={max_iter}; returning a point "
-                          "that fails its optimality certificate", RuntimeWarning, stacklevel=2)
 
+    pp = float(p @ p)
+    if float(np.min(X @ p)) < pp - tol * max(1.0, pp):
+        warnings.warn(f"min_norm_point stopped after {iterations} iterations "
+                      f"(max_iter={max_iter}) at a point that fails its optimality "
+                      "certificate", RuntimeWarning, stacklevel=2)
     return p, iterations
 
 

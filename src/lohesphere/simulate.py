@@ -10,7 +10,6 @@ drift is recorded per sample as a health check.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -81,19 +80,14 @@ class Trajectory:
                        self.min_edge_angle[k], self.max_edge_angle[k], self.norm_drift[k])
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
-    def final_json_dict(self, half_angle: float = math.pi / 4) -> dict:
+    def final_json_dict(self) -> dict:
         return {
             "t": float(self.times[-1]),
             "points": [[float(v) for v in row] for row in self.states[-1]],
             "disagreement": float(self.disagreement[-1]),
             "sync_radius": float(self.sync_radius[-1]),
-            "practically_synced": bool(self.sync_radius[-1] < half_angle),
+            "practically_synced": bool(self.sync_radius[-1] < math.pi / 4),
         }
-
-    def write_final_json(self, path, half_angle: float = math.pi / 4) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.final_json_dict(half_angle), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def _rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:

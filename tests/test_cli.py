@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -13,7 +14,7 @@ import pytest
 
 from lohesphere import cli
 from lohesphere.cli import ConfigError, main, validate_config
-from lohesphere.simulate import IntegrationDiverged
+from lohesphere.simulate import IntegrationDiverged, integrate
 from lohesphere.stability import theorem_rhs
 
 
@@ -229,6 +230,7 @@ def test_oversized_runs_exit_2_before_building(tmp_path, capsys, monkeypatch, co
     assert "more than" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_homogeneous_path_syncs(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = _write(tmp_path, _base_cfg())
@@ -242,6 +244,34 @@ def test_simulate_homogeneous_path_syncs(tmp_path, capsys, monkeypatch):
     csv_lines = (tmp_path / "run_trajectory.csv").read_text().strip().split("\n")
     assert csv_lines[0] == "t,V,sync_radius,min_edge_angle,max_edge_angle,norm_drift"
     assert len(csv_lines) > 10
+
+
+def _cap_radius_oracle(x):
+    """Least radius of the caps on S^2 that hold every row of x and have two
+    rows on a diameter or three on the boundary circle (the cut of the
+    plane through them)."""
+    caps = [(x[i] + x[j], i) for i, j in itertools.combinations(range(len(x)), 2)]
+    for i, j, k in itertools.combinations(range(len(x)), 3):
+        n = np.cross(x[j] - x[i], x[k] - x[i])
+        caps.append((n if n @ x[i] > 0 else -n, i))
+    best = np.inf
+    for c, i in caps:
+        angles = np.arctan2(np.linalg.norm(np.cross(c, x), axis=1), x @ c)
+        if angles.max() <= angles[i] * (1 + 1e-9):
+            best = min(best, angles[i])
+    return best
+
+
+def test_simulate_sync_radius_matches_cap_oracle_near_synchrony():
+    # at t = 26..28 the agents of the syncing path are within 1e-4 rad of
+    # each other, where the Gram matrix of the hull support is nearly all ones
+    cfg = validate_config(_base_cfg(integrate={"dt": 0.01, "t_end": 28.0, "sample_every": 100}))
+    system, x0 = cli._build_all(cfg, np.random.default_rng(cfg.seed))
+    traj = integrate(system, x0, **cfg.integrate)
+    for t in (26, 27, 28):
+        assert traj.times[t] == pytest.approx(t)
+        oracle = _cap_radius_oracle(traj.states[t])
+        assert abs(traj.sync_radius[t] - oracle) <= 1e-6 * oracle
 
 
 def test_simulate_outputs_are_deterministic(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lohesphere import hull
 from lohesphere.dynamics import random_configuration
 from lohesphere.hull import min_norm_point
 from lohesphere.stability import twisted_state
@@ -76,6 +77,40 @@ def test_optimality_certificate_random():
         assert iters <= 10_000
 
 
+def _unit_rows(a):
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def _hard_configuration(family, rng):
+    """A cluster of 2 to 40 unit rows in R^2..R^5 with a spread from 1e-12 to
+    1e-2, whose Gram matrix is nearly all ones; "duplicated" lists each row
+    three times, "rank-deficient" rotates a cluster of a lower dimension."""
+    d = int(rng.integers(2, 6))
+    k = int(rng.integers(1, d)) if family == "rank-deficient" else d
+    n = int(rng.integers(2, 41))
+    spread = 10.0 ** rng.uniform(-12, -2)
+    y = _unit_rows(_unit_rows(rng.standard_normal((1, k))) + spread * rng.standard_normal((n, k)))
+    if family == "duplicated":
+        return np.vstack([y, y, y])[rng.permutation(3 * n)]
+    if family == "rank-deficient":
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        return np.hstack([y, np.zeros((n, d - k))]) @ q
+    return y
+
+
+@pytest.mark.parametrize("family", ["cluster", "duplicated", "rank-deficient"])
+def test_certificate_near_synchrony(family):
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        x = _hard_configuration(family, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, iters = min_norm_point(x)
+        pp = float(p @ p)
+        assert np.min(x @ p) >= pp - 1e-12 * max(1.0, pp)
+        assert iters <= 10
+
+
 def test_cohesive_cluster_positive_norm():
     rng = np.random.default_rng(3)
     base = np.array([0.0, 0.0, 1.0])
@@ -105,3 +140,16 @@ def test_iteration_cap_warns_when_the_certificate_fails():
         p, _ = min_norm_point(x)  # converges well inside the default cap
         min_norm_point(x[:1], max_iter=1)  # one point is optimal at once
     assert np.linalg.norm(p) <= 1e-9
+
+
+def test_stalled_solve_warns(monkeypatch):
+    # affine weights off their optimum: the major loop stops with a vertex
+    # already in the support, far short of max_iter
+    solve = hull._affine_min_norm
+    monkeypatch.setattr(hull, "_affine_min_norm",
+                        lambda A: solve(A) + 1e-3 * ((len(A) - 1) / 2 - np.arange(len(A))))
+    x = twisted_state(7, 1, 2)
+    with pytest.warns(RuntimeWarning, match="fails its optimality certificate"):
+        p, iters = min_norm_point(x)
+    assert iters < 100
+    assert np.min(x @ p) < p @ p - 1e-12

@@ -1,7 +1,6 @@
 """Integrator, equilibrium refinement, and cap-radius diagnostics."""
 
 import itertools
-import json
 import math
 import pickle
 
@@ -249,18 +248,16 @@ def test_csv_round_trip_and_determinism(tmp_path):
     assert np.array_equal(data[:, 2], traj.sync_radius)
 
 
-def test_final_json_contents(tmp_path):
+def test_final_json_contents():
     g = complete_graph(3, gain=1.0)
     sys = _homo(g)
     x0 = np.tile([1.0, 0.0, 0.0], (3, 1))
     traj = integrate(sys, x0, dt=1e-2, t_end=0.1, sample_every=5)
-    path = tmp_path / "final.json"
-    traj.write_final_json(path)
-    loaded = json.loads(path.read_text())
-    assert loaded["t"] == pytest.approx(0.1)
-    assert loaded["practically_synced"] is True
-    assert np.allclose(loaded["points"], x0)
-    assert loaded["disagreement"] == 0.0
+    final = traj.final_json_dict()
+    assert final["t"] == pytest.approx(0.1)
+    assert final["practically_synced"] is True
+    assert np.allclose(final["points"], x0)
+    assert final["disagreement"] == 0.0
 
 
 def test_sync_radius_identical_points_zero():
