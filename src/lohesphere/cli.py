@@ -28,46 +28,170 @@ class ConfigError(ValueError):
     pass
 
 
-_GRAPH_TYPES = ("path", "cycle", "complete", "edges")
-_TOP_KEYS = {"graph", "n", "frequencies", "init", "integrate", "analysis", "seed", "out", "sweep"}
 MAX_STEPS = 10**8  # largest RK4 step count t_end / dt that a config may ask for
 MAX_DENSE_ELEMENTS = 10**8  # largest dense float64 array (800 MB) that a config may ask for
 MAX_ITEMS = 10**6  # most graph edges, and most sweep cells, that a config may ask for
 
-
-def _require_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+# Each check takes a value and the key path that names it in errors, and returns the
+# resolved value or raises ConfigError.
 
 
 def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-def _as_positive_number(val, name: str) -> float:
+def _positive(val, name: str) -> float:
     if not _is_number(val) or not val > 0:
         raise ConfigError(f"{name} must be a number > 0, got {val!r}")
     return float(val)
 
 
-def _as_int(val, name: str, minimum: int) -> int:
-    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {val!r}")
+def _nonnegative(val, name: str) -> float:
+    if not _is_number(val) or val < 0:
+        raise ConfigError(f"{name} must be a number >= 0, got {val!r}")
+    return float(val)
+
+
+def _count(val, name: str) -> int:
+    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {val!r}")
     return val
 
 
-def _as_number_grid(val, name: str, depth: int):
-    """Return val if it is a rectangular nesting of lists, depth deep, of numbers."""
-    bad = ConfigError(f"{name} must be a rectangular array of numbers, {depth} lists deep")
-    level = [val]
-    for _ in range(depth):
-        if not all(isinstance(v, list) and len(v) == len(level[0]) for v in level):
+def _seed(val, name: str) -> int:
+    if not isinstance(val, int) or isinstance(val, bool) or not 0 <= val < 2**64:
+        raise ConfigError(f"{name} must be an integer in [0, 2^64), got {val!r}")
+    return val
+
+
+def _boolean(val, name: str) -> bool:
+    if not isinstance(val, bool):
+        raise ConfigError(f"{name} must be a boolean, got {val!r}")
+    return val
+
+
+def _nonempty_string(val, name: str) -> str:
+    if not isinstance(val, str) or not val:
+        raise ConfigError(f"{name} must be a nonempty string, got {val!r}")
+    return val
+
+
+def _nonempty_list(val, name: str) -> list:
+    if not isinstance(val, list) or not val:
+        raise ConfigError(f"{name} must be a nonempty list, got {val!r}")
+    return val
+
+
+def _one_of(*choices: str):
+    def check(val, name: str) -> str:
+        if val not in choices:
+            raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {val!r}")
+        return val
+    return check
+
+
+def _grid(depth: int):
+    """The check of a rectangular nesting of lists, depth deep, of numbers."""
+    def check(val, name: str) -> list:
+        bad = ConfigError(f"{name} must be a rectangular array of numbers, {depth} lists deep")
+        level = [val]
+        for _ in range(depth):
+            if not all(isinstance(v, list) and len(v) == len(level[0]) for v in level):
+                raise bad
+            level = [e for v in level for e in v]
+        if not all(map(_is_number, level)):
             raise bad
-        level = [e for v in level for e in v]
-    if not all(map(_is_number, level)):
-        raise bad
+        return val
+    return check
+
+
+def _edges(val, name: str) -> list:
+    for i, edge in enumerate(_nonempty_list(val, name)):
+        if not (isinstance(edge, list) and len(edge) == 3):
+            raise ConfigError(f"{name}[{i}] must be an [i, j, k] triple, got {edge!r}")
+        for pos, check in enumerate((_count, _count, _positive)):
+            check(edge[pos], f"{name}[{i}][{pos}]")
     return val
+
+
+_REQUIRED = object()  # the default of a key that every config must give
+
+
+def _walk(val, rows: dict, name: str) -> dict:
+    """Check the object val against rows {key: (check, default)} and fill in the defaults.
+
+    name is val's key path, empty at the top level. A default passes its row's check
+    like a given value; a None default leaves an absent key out of the result.
+    """
+    where = name or "config"
+    if not isinstance(val, dict):
+        raise ConfigError(f"{where} must be an object")
+    prefix = f"{name}." if name else ""
+    for key, (_, default) in rows.items():
+        if default is _REQUIRED and key not in val:
+            raise ConfigError(f"{prefix}{key} is required")
+    unknown = set(val) - set(rows)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    return {key: check(val.get(key, default), prefix + key)
+            for key, (check, default) in rows.items() if key in val or default is not None}
+
+
+def _section(rows: dict):
+    return lambda val, name: _walk(val, rows, name)
+
+
+def _pick(key: str, default, row_sets: dict):
+    """The check of an object whose value of key picks its other rows, one row set per value."""
+    pick = _one_of(*row_sets)
+
+    def check(val, name: str) -> dict:
+        rows = {key: (pick, default)}
+        choice = val.get(key, default) if isinstance(val, dict) else default
+        if choice is not _REQUIRED:
+            rows.update(row_sets[pick(choice, f"{name}.{key}")])
+        return _walk(val, rows, name)
+    return check
+
+
+_UNITS = _one_of("absolute", "theorem_rhs")
+_NODES = (_count, _REQUIRED)
+_GENERATED = {"N": _NODES, "k": (_positive, 1.0)}
+_CONFIG = {
+    "graph": (_pick("type", _REQUIRED, {
+        "path": _GENERATED, "cycle": _GENERATED, "complete": _GENERATED,
+        "edges": {"N": _NODES, "edges": (_edges, _REQUIRED)},
+    }), _REQUIRED),
+    "n": (_count, 2),
+    "frequencies": (_pick("mode", "zero", {
+        "zero": {},
+        "random": {"total_norm": (_nonnegative, _REQUIRED), "units": (_UNITS, "absolute")},
+        "explicit": {"matrices": (_grid(3), _REQUIRED)},
+    }), {}),
+    "init": (_pick("mode", "random", {
+        "random": {},
+        "twisted": {"q": (_count, 1)},
+        "explicit": {"points": (_grid(2), _REQUIRED)},
+    }), {}),
+    "integrate": (_section({
+        "dt": (_positive, 1e-3), "t_end": (_positive, 100.0), "sample_every": (_count, 100),
+    }), {}),
+    "analysis": (_section({
+        key: (_boolean, False) for key in ("linearize", "verify_theorem", "dispersed")
+    }), {}),
+    "seed": (_seed, 0),
+    "out": (_nonempty_string, "run"),
+    "sweep": (_section({
+        "var": (_one_of("omega_total", "K", "N", "n"), _REQUIRED),
+        "values": (_nonempty_list, _REQUIRED),
+        "trials": (_count, 1),
+        "units": (_UNITS, "absolute"),
+        "equilibrate": (_boolean, False),
+    }), None),
+}
+# the check of each swept value: the row of the key it replaces; a swept total norm must be > 0
+_SWEPT = {"omega_total": _positive, "K": _GENERATED["k"][0], "N": _NODES[0],
+          "n": _CONFIG["n"][0]}
 
 
 @dataclass
@@ -87,38 +211,6 @@ class ExperimentConfig:
     workers: int = 1
 
 
-def _validate_graph(section) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError("graph must be an object")
-    if "type" not in section:
-        raise ConfigError("graph needs a type")
-    gtype = section["type"]
-    if gtype not in _GRAPH_TYPES:
-        raise ConfigError(f"graph type must be one of {_GRAPH_TYPES}, got {gtype!r}")
-    if gtype == "edges":
-        _require_keys(section, {"type", "N", "edges"}, "graph")
-        out = {
-            "type": gtype,
-            "N": _as_int(section.get("N"), "graph.N", 1),
-            "edges": section.get("edges"),
-        }
-        if not isinstance(out["edges"], list) or not out["edges"]:
-            raise ConfigError("graph.edges must be a nonempty list of [i, j, k] triples")
-        for e in out["edges"]:
-            if not (isinstance(e, list) and len(e) == 3):
-                raise ConfigError(f"bad edge entry {e!r}, expected [i, j, k]")
-            _as_int(e[0], "graph.edges node index", 1)
-            _as_int(e[1], "graph.edges node index", 1)
-            _as_positive_number(e[2], "graph.edges gain")
-        return out
-    _require_keys(section, {"type", "N", "k"}, "graph")
-    return {
-        "type": gtype,
-        "N": _as_int(section.get("N"), "graph.N", 1),
-        "k": _as_positive_number(section.get("k", 1.0), "graph.k"),
-    }
-
-
 def _require_size(graph: dict, n: int) -> None:
     """Reject a graph and dimension whose arrays would not fit, before any is built."""
     N = graph["N"]
@@ -131,146 +223,27 @@ def _require_size(graph: dict, n: int) -> None:
             raise ConfigError(f"the {what} has {size} entries, more than {MAX_DENSE_ELEMENTS}")
 
 
-def _validate_frequencies(section) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError("frequencies must be an object")
-    mode = section.get("mode", "zero")
-    if mode == "zero":
-        _require_keys(section, {"mode"}, "frequencies")
-        return {"mode": "zero"}
-    if mode == "random":
-        _require_keys(section, {"mode", "total_norm", "units"}, "frequencies")
-        if "total_norm" not in section:
-            raise ConfigError("random frequencies need total_norm")
-        total = section["total_norm"]
-        if not _is_number(total) or total < 0:
-            raise ConfigError(f"frequencies.total_norm must be a number >= 0, got {total!r}")
-        units = section.get("units", "absolute")
-        if units not in ("absolute", "theorem_rhs"):
-            raise ConfigError(f"frequencies.units must be absolute or theorem_rhs, got {units!r}")
-        return {"mode": "random", "total_norm": float(total), "units": units}
-    if mode == "explicit":
-        _require_keys(section, {"mode", "matrices"}, "frequencies")
-        if "matrices" not in section:
-            raise ConfigError("explicit frequencies need matrices")
-        return {"mode": "explicit",
-                "matrices": _as_number_grid(section["matrices"], "frequencies.matrices", 3)}
-    raise ConfigError(f"frequencies.mode must be zero, random, or explicit, got {mode!r}")
-
-
-def _validate_init(section) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError("init must be an object")
-    mode = section.get("mode", "random")
-    if mode == "random":
-        _require_keys(section, {"mode"}, "init")
-        return {"mode": "random"}
-    if mode == "twisted":
-        _require_keys(section, {"mode", "q"}, "init")
-        return {"mode": "twisted", "q": _as_int(section.get("q", 1), "init.q", 1)}
-    if mode == "explicit":
-        _require_keys(section, {"mode", "points"}, "init")
-        if "points" not in section:
-            raise ConfigError("explicit init needs points")
-        return {"mode": "explicit", "points": _as_number_grid(section["points"], "init.points", 2)}
-    raise ConfigError(f"init.mode must be random, twisted, or explicit, got {mode!r}")
-
-
-def _validate_sweep(section) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError("sweep must be an object")
-    _require_keys(section, {"var", "values", "trials", "units", "equilibrate"}, "sweep")
-    var = section.get("var")
-    if var not in ("omega_total", "K", "N", "n"):
-        raise ConfigError(f"sweep.var must be omega_total, K, N, or n, got {var!r}")
-    values = section.get("values")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep.values must be a nonempty list")
-    clean = []
-    for v in values:
-        if not _is_number(v):
-            raise ConfigError(f"sweep value {v!r} is not a number")
-        if var in ("N", "n"):
-            if int(v) != v:
-                raise ConfigError(f"sweep over {var} needs integer values, got {v!r}")
-            clean.append(int(v))
-        else:
-            if not v > 0:
-                raise ConfigError(f"sweep value for {var} must be > 0, got {v!r}")
-            clean.append(float(v))
-    units = section.get("units", "absolute")
-    if units not in ("absolute", "theorem_rhs"):
-        raise ConfigError(f"sweep.units must be absolute or theorem_rhs, got {units!r}")
-    if units == "theorem_rhs" and var != "omega_total":
-        raise ConfigError("sweep.units theorem_rhs only applies to var omega_total")
-    equilibrate = section.get("equilibrate", False)
-    if not isinstance(equilibrate, bool):
-        raise ConfigError("sweep.equilibrate must be a boolean")
-    trials = _as_int(section.get("trials", 1), "sweep.trials", 1)
-    if len(clean) * trials > MAX_ITEMS:
-        raise ConfigError(f"sweep has {len(clean) * trials} cells, more than {MAX_ITEMS}")
-    return {
-        "var": var,
-        "values": clean,
-        "trials": trials,
-        "units": units,
-        "equilibrate": equilibrate,
-    }
-
-
 def validate_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON config and fill in every default."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(raw, _TOP_KEYS, "config")
-    if "graph" not in raw:
-        raise ConfigError("config missing graph")
-    graph = _validate_graph(raw["graph"])
-    n = _as_int(raw.get("n", 2), "n", 1)
-    freqs = _validate_frequencies(raw.get("frequencies", {"mode": "zero"}))
-    init = _validate_init(raw.get("init", {"mode": "random"}))
-
-    integ = raw.get("integrate", {})
-    if not isinstance(integ, dict):
-        raise ConfigError("integrate must be an object")
-    _require_keys(integ, {"dt", "t_end", "sample_every"}, "integrate")
-    integ = {
-        "dt": _as_positive_number(integ.get("dt", 1e-3), "integrate.dt"),
-        "t_end": _as_positive_number(integ.get("t_end", 100.0), "integrate.t_end"),
-        "sample_every": _as_int(integ.get("sample_every", 100), "integrate.sample_every", 1),
-    }
-    steps = integ["t_end"] / integ["dt"]
+    cfg = ExperimentConfig(**_walk(raw, _CONFIG, ""))
+    steps = cfg.integrate["t_end"] / cfg.integrate["dt"]
     if not steps <= MAX_STEPS:  # also rejects inf and nan
         raise ConfigError(f"integrate.t_end / integrate.dt must be finite and <= {MAX_STEPS}, "
                           f"got {steps!r}")
-
-    analysis = raw.get("analysis", {})
-    if not isinstance(analysis, dict):
-        raise ConfigError("analysis must be an object")
-    _require_keys(analysis, {"linearize", "verify_theorem", "dispersed"}, "analysis")
-    analysis = {key: analysis.get(key, False)
-                for key in ("linearize", "verify_theorem", "dispersed")}
-    for key, got in analysis.items():
-        if not isinstance(got, bool):
-            raise ConfigError(f"analysis.{key} must be a boolean")
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
-        raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    out = raw.get("out", "run")
-    if not isinstance(out, str) or not out:
-        raise ConfigError("out must be a nonempty string")
-    sweep = _validate_sweep(raw["sweep"]) if "sweep" in raw else None
-    if sweep and sweep["var"] == "K" and graph["type"] == "edges":
-        # each swept value gets its own scaled copy of the edge list
-        copies = len(sweep["values"]) * len(graph["edges"])
-        if copies > MAX_ITEMS:
-            raise ConfigError(f"the K sweep scales {copies} edges, more than {MAX_ITEMS}")
-
-    cfg = ExperimentConfig(
-        graph=graph, n=n, frequencies=freqs, init=init, integrate=integ,
-        analysis=analysis, seed=seed, out=out, sweep=sweep,
-    )
+    sweep = cfg.sweep
+    if sweep:
+        check = _SWEPT[sweep["var"]]
+        sweep["values"] = [check(v, f"sweep.values[{i}]") for i, v in enumerate(sweep["values"])]
+        if sweep["units"] == "theorem_rhs" and sweep["var"] != "omega_total":
+            raise ConfigError("sweep.units theorem_rhs only applies to var omega_total")
+        cells = len(sweep["values"]) * sweep["trials"]
+        if cells > MAX_ITEMS:
+            raise ConfigError(f"sweep has {cells} cells, more than {MAX_ITEMS}")
+        if sweep["var"] == "K" and cfg.graph["type"] == "edges":
+            # each swept value gets its own scaled copy of the edge list
+            copies = len(sweep["values"]) * len(cfg.graph["edges"])
+            if copies > MAX_ITEMS:
+                raise ConfigError(f"the K sweep scales {copies} edges, more than {MAX_ITEMS}")
     for c in (cfg, *_run_configs(cfg)):
         _require_size(c.graph, c.n)
     return cfg
@@ -295,13 +268,10 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> E
 
 
 def build_graph(spec: dict) -> CouplingGraph:
-    if spec["type"] == "path":
-        return path_graph(spec["N"], spec["k"])
-    if spec["type"] == "cycle":
-        return cycle_graph(spec["N"], spec["k"])
-    if spec["type"] == "complete":
-        return complete_graph(spec["N"], spec["k"])
-    return from_edge_list(spec["N"], spec["edges"])
+    if spec["type"] == "edges":
+        return from_edge_list(spec["N"], spec["edges"])
+    generator = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}
+    return generator[spec["type"]](spec["N"], spec["k"])
 
 
 def build_frequencies(cfg: ExperimentConfig, graph: CouplingGraph, rng) -> np.ndarray:
@@ -487,14 +457,17 @@ def _sweep_point(cell: tuple):
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     """Evaluate the certificate across a parameter grid, one CSV row per trial.
 
-    Every cell's config is resolved and checked before any cell runs. Cells that stop short of
-    equilibrium are named on stderr in cell order; the CSV and the exit code do not change.
+    Every cell's config is resolved, checked and built before any cell runs. Cells that stop
+    short of equilibrium are named on stderr in cell order; the CSV and the exit code do not
+    change.
     """
     sweep = cfg.sweep
     if sweep is None:
         raise ConfigError("sweep command needs a sweep section in the config")
     configs = _run_configs(cfg)
     _require_certificate(configs)
+    for config in configs:  # a value the library rejects exits 2 before any cell runs
+        _build_all(config, np.random.default_rng(0))
     max_time = 200.0 if sweep["equilibrate"] else None
     cells = [(config, _trial_seed(cfg.seed, vi, trial), max_time)
              for vi, config in enumerate(configs) for trial in range(sweep["trials"])]

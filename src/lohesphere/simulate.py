@@ -144,11 +144,8 @@ def integrate(
     x0 must hold unit rows to within 1e-9 (ValueError otherwise; a
     non-finite x0 raises IntegrationDiverged at t = 0) and is recorded
     as given. It is checked against the system once; the steps then run the
-    unchecked extended_field kernel. That kernel rounds differently from
-    the earlier per-call field, so trajectories differ from earlier
-    versions in their last digits (final V by at most 2.9e-15 relative on
-    13 seeded 10-agent path runs of 4,000 steps); equal inputs still give
-    bit-identical trajectories.
+    unchecked extended_field kernel. Equal inputs give bit-identical
+    trajectories.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")

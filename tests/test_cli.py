@@ -36,15 +36,44 @@ def _base_cfg(**over):
     return cfg
 
 
-def test_validate_config_fills_defaults():
-    cfg = validate_config({"graph": {"type": "cycle", "N": 6}})
-    assert cfg.n == 2
-    assert cfg.frequencies == {"mode": "zero"}
-    assert cfg.init == {"mode": "random"}
-    assert cfg.integrate == {"dt": 1e-3, "t_end": 100.0, "sample_every": 100}
-    assert cfg.seed == 0
-    assert cfg.out == "run"
-    assert cfg.sweep is None
+_E3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+_Z3 = [[[0.0] * 3] * 3] * 3
+
+
+# (what, given, resolved): a config section with its defaults left out, and the section
+# that validation resolves it to; "what" names the ExperimentConfig field
+@pytest.mark.parametrize("what, given, resolved", [
+    ("config", {"graph": {"type": "cycle", "N": 3}},
+     {"graph": {"type": "cycle", "N": 3, "k": 1.0}, "n": 2, "frequencies": {"mode": "zero"},
+      "init": {"mode": "random"}, "integrate": {"dt": 1e-3, "t_end": 100.0, "sample_every": 100},
+      "analysis": {"linearize": False, "verify_theorem": False, "dispersed": False},
+      "seed": 0, "out": "run", "sweep": None}),
+    *[("graph", {"type": t, "N": 3}, {"type": t, "N": 3, "k": 1.0})
+      for t in ("path", "cycle", "complete")],
+    ("graph", {"type": "edges", "N": 3, "edges": [[1, 2, 1], [2, 3, 0.5]]},
+     {"type": "edges", "N": 3, "edges": [[1, 2, 1], [2, 3, 0.5]]}),
+    ("frequencies", {}, {"mode": "zero"}),
+    ("frequencies", {"mode": "random", "total_norm": 1},
+     {"mode": "random", "total_norm": 1.0, "units": "absolute"}),
+    ("frequencies", {"mode": "explicit", "matrices": _Z3}, {"mode": "explicit", "matrices": _Z3}),
+    ("init", {}, {"mode": "random"}),
+    ("init", {"mode": "twisted"}, {"mode": "twisted", "q": 1}),
+    ("init", {"mode": "explicit", "points": _E3}, {"mode": "explicit", "points": _E3}),
+    ("sweep", {"var": "K", "values": [1, 2.5]},
+     {"var": "K", "values": [1.0, 2.5], "trials": 1, "units": "absolute", "equilibrate": False}),
+], ids=["config", "graph-path", "graph-cycle", "graph-complete", "graph-edges",
+        "frequencies-zero", "frequencies-random", "frequencies-explicit",
+        "init-random", "init-twisted", "init-explicit", "sweep"])
+def test_validate_config_fills_defaults(what, given, resolved):
+    full = {key: val for key, val in resolved.items() if val is not None}
+    for section in (given, full):
+        if what == "config":
+            cfg = validate_config(section)
+            got = {key: getattr(cfg, key) for key in resolved}
+        else:
+            got = getattr(validate_config({"graph": {"type": "cycle", "N": 3}, what: section}),
+                          what)
+        assert repr(got) == repr(resolved)  # repr also tells 1.0 from 1
 
 
 def test_missing_graph_exits_2(tmp_path, capsys, monkeypatch):
@@ -667,6 +696,48 @@ def test_sweep_over_agent_count_on_edge_list_exits_2_before_any_cell(tmp_path, c
         assert main([command, "--config", _write(tmp_path, cfg), "--workers", "2"]) == 2
         assert "generated graph type" in capsys.readouterr().err
     assert pools == [] and built == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("cfg, message", [
+    ({"graph": {"type": "cycle", "N": 6}, "init": {"mode": "twisted", "q": 1},
+      "sweep": {"var": "N", "values": [6, 8, -3], "trials": 2, "equilibrate": True}},
+     "sweep.values[2] must be an integer >= 1, got -3"),
+    ({"graph": {"type": "path", "N": 3}, "frequencies": {"mode": "explicit", "matrices": _Z3},
+      "sweep": {"var": "n", "values": [2, 3]}},
+     "frequencies.matrices must have shape (3, 4, 4), got (3, 3, 3)"),
+    ({"graph": {"type": "cycle", "N": 6}, "init": {"mode": "twisted", "q": 5},
+      "sweep": {"var": "N", "values": [6, 7, 5, 4]}},
+     "winding number must satisfy 1 <= q < N"),
+], ids=["negative-N", "matrix-shape", "winding"])
+def test_sweep_rejects_every_value_before_any_cell(tmp_path, capsys, monkeypatch, cfg, message,
+                                                  workers):
+    pools = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda max_workers: pools.append(max_workers))
+    monkeypatch.setattr(cli, "_certify", _refuse_call)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--workers", workers]) == 2
+    assert message in capsys.readouterr().err
+    assert pools == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "linearize", "sweep"])
+@pytest.mark.parametrize("sweep, message", [
+    ({"var": "n", "values": [2, 0]}, "sweep.values[1] must be an integer >= 1, got 0"),
+    ({"var": "N", "values": [4, -2]}, "sweep.values[1] must be an integer >= 1, got -2"),
+    ({"var": "N", "values": [4, 5.0]}, "sweep.values[1] must be an integer >= 1, got 5.0"),
+], ids=["n-zero", "N-negative", "N-float"])
+def test_swept_sizes_follow_the_rules_of_their_keys(tmp_path, capsys, monkeypatch, command,
+                                                    sweep, message):
+    # a swept N or n is checked as graph.N and n are, for every command
+    monkeypatch.chdir(tmp_path)
+    cfg = _base_cfg(graph={"type": "path", "N": 4, "k": 1.0}, init={"mode": "twisted", "q": 1},
+                    integrate={"dt": 0.01, "t_end": 0.1, "sample_every": 1}, sweep=sweep)
+    assert main([command, "--config", _write(tmp_path, cfg)]) == 2
+    assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
