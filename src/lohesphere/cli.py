@@ -11,8 +11,18 @@ Exit codes: 0 ok, 2 config error, 3 divergence, 4 equilibrium not found.
 
 from __future__ import annotations
 
+import os
+
+# numpy's bundled OpenBLAS lets an idle helper thread spin for 2^k CPU cycles (k = 28 by
+# default, about 0.13 s at 2 GHz) after it loads and after each threaded call, on a core
+# that the main thread, sweep workers or other processes could use. 2^20 cycles keep the
+# thread warm within one eigensolve. OpenBLAS reads the variable when numpy loads, so this
+# comes before every import that loads numpy; a value already in the environment wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -37,7 +47,11 @@ MAX_ITEMS = 10**6  # most graph edges, and most sweep cells, that a config may a
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """A finite int or float; JSON reads a number too large for a double, such as 1e999, as inf."""
+    try:
+        return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:  # an int too large for a double
+        return False
 
 
 def _positive(val, name: str) -> float:

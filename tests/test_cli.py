@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -158,6 +159,40 @@ def test_non_finite_json_constants_exit_2(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, over, key", [
+    ("linearize", {"graph": {"type": "cycle", "N": 4, "k": 1.0}, "init": {"mode": "twisted"},
+                   "frequencies": {"mode": "random", "total_norm": "BIG"}},
+     "frequencies.total_norm"),
+    ("simulate", {"graph": {"type": "path", "N": 5, "k": "BIG"}}, "graph.k"),
+])
+@pytest.mark.parametrize("big", ["1e999", "1" + "0" * 400], ids=["1e999", "int-1e400"])
+def test_numbers_beyond_a_double_exit_2(tmp_path, capsys, monkeypatch, command, over, key, big):
+    # JSON reads 1e999 as inf, past the non-finite constant hook, and 10^400 as an int
+    # that no float can hold
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(_base_cfg(**over)).replace('"BIG"', big))
+    assert main([command, "--config", str(tmp_path / "cfg.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be a number")
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("run_*"))
+
+
+@pytest.mark.parametrize("section", [
+    {"frequencies": {"mode": "random", "total_norm": math.inf}},
+    {"frequencies": {"mode": "random", "total_norm": math.nan}},
+    {"graph": {"type": "cycle", "N": 4, "k": math.inf}},
+    {"integrate": {"dt": math.inf}},
+    {"init": {"mode": "explicit", "points": [[1.0, 0.0, math.inf]] + [[1.0, 0.0, 0.0]] * 4}},
+    {"init": {"mode": "explicit", "points": [[1.0, 0.0, math.nan]] + [[1.0, 0.0, 0.0]] * 4}},
+    {"sweep": {"var": "omega_total", "values": [1.0, math.inf]}},
+], ids=["total_norm-inf", "total_norm-nan", "k-inf", "dt-inf", "points-inf", "points-nan",
+        "swept-inf"])
+def test_validate_config_rejects_non_finite_numbers(section):
+    with pytest.raises(ConfigError, match="must be"):
+        validate_config(_base_cfg(**section))
+
+
 @pytest.mark.parametrize(
     "command, over",
     [
@@ -236,6 +271,30 @@ def test_importing_the_cli_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "20"), ("28", "28")])
+def test_the_cli_caps_the_blas_spin_before_numpy_loads(preset, expected):
+    # prints the variable as numpy is first looked for, then after the import;
+    # OpenBLAS reads it when numpy loads it
+    code = textwrap.dedent("""
+        import os, sys
+        seen = []
+        class Watch:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        sys.meta_path.insert(0, Watch())
+        import lohesphere.cli
+        print(seen, os.environ["OPENBLAS_THREAD_TIMEOUT"])
+    """)
+    env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_THREAD_TIMEOUT"}
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == [f"['{expected}']", expected]
 
 
 def test_oversized_linearization_is_rejected():

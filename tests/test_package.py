@@ -1,0 +1,60 @@
+"""The package namespace: names load their submodules on first use."""
+
+import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lohesphere
+
+SRC = Path(lohesphere.__file__).parent.parent
+README = SRC.parent / "README.md"
+
+
+def _run(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def test_a_bare_import_loads_no_numpy():
+    assert _run("import sys, lohesphere; print('numpy' in sys.modules)") == "False"
+
+
+def test_every_exported_name_is_its_module_attribute():
+    for name, module in lohesphere._EXPORTS.items():
+        assert getattr(lohesphere, name) is getattr(
+            importlib.import_module(f"lohesphere.{module}"), name), name
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lohesphere.no_such_name
+
+
+def test_submodules_import_by_name():
+    assert _run("from lohesphere import cli, hull; print(cli.__name__, hull.__name__)") == (
+        "lohesphere.cli lohesphere.hull")
+
+
+def test_star_import_yields_every_exported_name():
+    namespace = {}
+    exec("from lohesphere import *", namespace)
+    for name in lohesphere._EXPORTS:
+        assert namespace[name] is getattr(lohesphere, name), name
+
+
+def test_readme_library_example(capsys):
+    # the first fenced block under "## Library", run as written
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(block, {})
+    beta_line, disagreement_line = capsys.readouterr().out.splitlines()
+    beta, _, conclusion = beta_line.split()
+    assert float(beta) > 0 and conclusion == "True"
+    start, end = map(float, disagreement_line.split())
+    assert end < 1e-6 * start
