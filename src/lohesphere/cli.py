@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import LoheSystem, random_configuration, random_frequencies, zero_frequencies
+from .dynamics import (LoheSystem, frequency_total_norm, random_configuration, random_frequencies,
+                       zero_frequencies)
 from .network import CouplingGraph, complete_graph, cycle_graph, from_edge_list, min_gain, path_graph
 from .simulate import IntegrationDiverged, find_equilibrium, integrate
 from .stability import is_dispersed, theorem_rhs, twisted_state, verify_theorem
@@ -298,6 +299,9 @@ def build_frequencies(cfg: ExperimentConfig, graph: CouplingGraph, rng) -> np.nd
             total = total * theorem_rhs(
                 min_gain(graph), cfg.n, graph.n_nodes, factor=cfg.theorem_factor
             )
+        if not math.isfinite(total * total):
+            raise ConfigError(f"frequencies.total_norm resolves to {total!r}, "
+                              "whose square overflows a double")
         return random_frequencies(rng, graph.n_nodes, cfg.n, total)
     mats = np.asarray(cfg.frequencies["matrices"], dtype=float)
     if mats.shape != (graph.n_nodes, cfg.n + 1, cfg.n + 1):
@@ -325,11 +329,25 @@ def build_init(cfg: ExperimentConfig, graph: CouplingGraph, rng) -> np.ndarray:
     return pts / norms[:, None]
 
 
-def _build_all(cfg: ExperimentConfig, rng):
-    """Build cfg's system and start; a config the library rejects is a ConfigError."""
+def _build_all(cfg: ExperimentConfig, seed, certify: bool = False):
+    """Build cfg's system and start from seed; a config the library rejects is a ConfigError.
+
+    The generator default_rng(seed) is made only when the frequencies or the start are
+    random, so that other runs never load numpy.random; frequencies draw first. With
+    certify, the total norm of explicit frequencies, which the certificate reports, must
+    square to a double, as a random total norm must in every run.
+    """
+    draws = "random" in (cfg.frequencies["mode"], cfg.init["mode"])
+    rng = np.random.default_rng(seed) if draws else None
     try:
         graph = build_graph(cfg.graph)
-        system = LoheSystem(graph=graph, omegas=build_frequencies(cfg, graph, rng))
+        omegas = build_frequencies(cfg, graph, rng)
+        if certify and cfg.frequencies["mode"] == "explicit":
+            with np.errstate(over="ignore"):  # it sums squares; inf means they overflow
+                if not math.isfinite(frequency_total_norm(omegas)):
+                    raise ConfigError("frequencies.matrices have a total norm whose square "
+                                      "overflows a double")
+        system = LoheSystem(graph=graph, omegas=omegas)
         return system, build_init(cfg, graph, rng)
     except ValueError as e:
         raise ConfigError(str(e))
@@ -365,7 +383,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     certify = cfg.analysis["linearize"] or cfg.analysis["verify_theorem"]
     if certify:
         _require_certificate([cfg])
-    system, x0 = _build_all(cfg, np.random.default_rng(cfg.seed))
+    system, x0 = _build_all(cfg, cfg.seed, certify)
     traj = integrate(system, x0, **cfg.integrate)
     traj.write_csv(f"{cfg.out}_trajectory.csv")
     final = traj.final_json_dict()
@@ -399,7 +417,7 @@ def _certify(cfg: ExperimentConfig, seed: int, max_time: float | None):
     max_time None certifies the start itself. Returns the BoundReport and the
     EquilibriumResult, which is None when the start is not refined.
     """
-    system, x0 = _build_all(cfg, np.random.default_rng(seed))
+    system, x0 = _build_all(cfg, seed, certify=True)
     eq = None if max_time is None else find_equilibrium(system, x0, tol=1e-10, max_time=max_time)
     return verify_theorem(system, x0 if eq is None else eq.config, factor=cfg.theorem_factor), eq
 
@@ -481,7 +499,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     configs = _run_configs(cfg)
     _require_certificate(configs)
     for config in configs:  # a value the library rejects exits 2 before any cell runs
-        _build_all(config, np.random.default_rng(0))
+        _build_all(config, 0, certify=True)
     max_time = 200.0 if sweep["equilibrate"] else None
     cells = [(config, _trial_seed(cfg.seed, vi, trial), max_time)
              for vi, config in enumerate(configs) for trial in range(sweep["trials"])]

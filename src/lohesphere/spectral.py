@@ -235,17 +235,19 @@ def _symmetric_spectrum(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
     tangent block, N zeros, and the graph matrix's repeated d - k times:
     N-square solves at k = 2. At k = d the tangent block of x is solved
     whole.
+
+    The tangent block is solved and released before W - diag(align) is
+    formed, so besides the cached W one N-square matrix (and the solver's
+    copy of it) is alive at a time.
     """
     N, d = x.shape
     _, s, vt = np.linalg.svd(x, full_matrices=False)
     k = int(np.count_nonzero(s > s[0] * max(N, d) * np.finfo(float).eps))  # matrix_rank
-    if k == d:
-        parts = [np.linalg.eigvalsh(assemble_B_tangent(graph, x))]
-    else:
+    parts = [np.linalg.eigvalsh(assemble_B_tangent(graph, x if k == d else x @ vt[:k].T))]
+    if k < d:
         G = graph.weight_matrix.copy()
         G.flat[:: N + 1] -= _align(graph, x)
-        parts = [np.linalg.eigvalsh(assemble_B_tangent(graph, x @ vt[:k].T)),
-                 np.tile(np.linalg.eigvalsh(G), d - k)]
+        parts.append(np.tile(np.linalg.eigvalsh(G), d - k))
     return np.sort(np.concatenate((*parts, np.zeros(N))))
 
 

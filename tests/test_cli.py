@@ -9,12 +9,14 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 
 from lohesphere import cli
 from lohesphere.cli import ConfigError, main, validate_config
+from lohesphere.dynamics import LoheSystem
 from lohesphere.simulate import IntegrationDiverged, integrate
 from lohesphere.stability import theorem_rhs
 
@@ -176,6 +178,90 @@ def test_numbers_beyond_a_double_exit_2(tmp_path, capsys, monkeypatch, command, 
     assert err.startswith(f"config error: {key} must be a number")
     assert "Traceback" not in err
     assert not list(tmp_path.glob("run_*"))
+
+
+_HUGE = [[[0.0, 1e154, 0.0], [-1e154, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 4
+
+
+@pytest.mark.parametrize("command, over, key", [
+    ("linearize", {"frequencies": {"mode": "random", "total_norm": 1e200}},
+     "frequencies.total_norm"),
+    # 1 times the bound of a graph with gain 1e300
+    ("linearize", {"graph": {"type": "cycle", "N": 4, "k": 1e300},
+                   "frequencies": {"mode": "random", "total_norm": 1.0, "units": "theorem_rhs"}},
+     "frequencies.total_norm"),
+    # explicit frequencies are checked where the certificate reports their norm
+    ("simulate", {"frequencies": {"mode": "explicit", "matrices": [[[0.0, 1e200, 0.0],
+                  [-1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 4},
+                  "analysis": {"verify_theorem": True}}, "frequencies.matrices"),
+    # every entry squares to a double, the sum of the four squares does not
+    ("linearize", {"frequencies": {"mode": "explicit", "matrices": _HUGE}},
+     "frequencies.matrices"),
+    ("sweep", {"sweep": {"var": "omega_total", "values": [0.5, 1e200]}},
+     "frequencies.total_norm"),
+], ids=["total_norm", "theorem_rhs", "entry", "sum", "swept"])
+def test_frequency_norms_whose_square_overflows_exit_2(tmp_path, capsys, monkeypatch, command,
+                                                        over, key):
+    monkeypatch.chdir(tmp_path)
+    cfg = _base_cfg(**{"graph": {"type": "cycle", "N": 4, "k": 1.0},
+                       "init": {"mode": "twisted", "q": 1}, **over})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}") and "overflows" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_largest_total_norm_whose_square_fits_writes_strict_json(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    top = math.sqrt(sys.float_info.max)
+    cfg = _base_cfg(graph={"type": "cycle", "N": 4, "k": 1.0}, init={"mode": "twisted"},
+                    frequencies={"mode": "random", "total_norm": top})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["linearize", "--config", _write(tmp_path, cfg)]) == 4
+    report = json.loads((tmp_path / "run_report.json").read_text(),
+                        parse_constant=pytest.fail)
+    assert report["omega_norm"] == pytest.approx(top, rel=1e-12)
+
+
+@pytest.mark.parametrize("command, over", [
+    ("simulate", {"init": {"mode": "explicit", "points": [_E3[0], _E3[1], _E3[0]]},
+                  "frequencies": {"mode": "explicit", "matrices": _Z3},
+                  "integrate": {"dt": 0.01, "t_end": 0.1, "sample_every": 5},
+                  "analysis": {"linearize": True, "dispersed": True}}),
+    ("linearize", {"graph": {"type": "cycle", "N": 4, "k": 1.0}, "init": {"mode": "twisted"}}),
+])
+def test_runs_that_draw_nothing_never_load_numpy_random(tmp_path, command, over):
+    code = textwrap.dedent("""
+        import sys
+        from lohesphere import cli
+        rc = cli.main(sys.argv[1:])
+        print(rc, "numpy.random" in sys.modules)
+    """)
+    cfg = _base_cfg(**{"graph": {"type": "path", "N": 3, "k": 1.0}, **over})
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, command, "--config", _write(tmp_path, cfg)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1].split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("frequencies, init", [
+    ({"mode": "random", "total_norm": 0.5}, {"mode": "random"}),
+    ({"mode": "random", "total_norm": 0.5, "units": "theorem_rhs"}, {"mode": "twisted"}),
+    ({"mode": "zero"}, {"mode": "random"}),
+    ({"mode": "explicit", "matrices": [[[0.0, 0.2, 0.0], [-0.2, 0.0, 0.0], [0.0] * 3]] * 5},
+     {"mode": "random"}),
+])
+def test_random_sections_draw_from_one_generator_of_the_seed(frequencies, init):
+    cfg = validate_config(_base_cfg(frequencies=frequencies, init=init, seed=2036))
+    system, x0 = cli._build_all(cfg, cfg.seed)
+    rng = np.random.default_rng(cfg.seed)  # frequencies draw first, then the start
+    graph = cli.build_graph(cfg.graph)
+    omegas = LoheSystem(graph=graph, omegas=cli.build_frequencies(cfg, graph, rng)).omegas
+    assert np.array_equal(system.omegas, omegas)
+    assert np.array_equal(x0, cli.build_init(cfg, graph, rng))
 
 
 @pytest.mark.parametrize("section", [
