@@ -86,9 +86,23 @@ def _check_state(system: LoheSystem, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _coupling_field(W: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # (I - x_i x_i^T) S_i with S_i the gain-weighted neighbor sum
-    S = W @ x
+def _neighbor_sum(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
+    """S_i = sum_j k_ij x_j for every agent, summed over the edge list.
+
+    Equal to weight_matrix @ x up to the order of additions (bit for bit
+    where a node has at most two neighbors and the gains are 1), without
+    forming the N-square matrix. One-shot evaluations use it; the RK4
+    kernel keeps the dense product.
+    """
+    i, j, k = graph.edge_arrays
+    S = np.zeros_like(x)
+    np.add.at(S, i, k[:, None] * x[j])
+    np.add.at(S, j, k[:, None] * x[i])
+    return S
+
+
+def _tangent_part(x: np.ndarray, S: np.ndarray) -> np.ndarray:
+    # (I - x_i x_i^T) S_i for every agent
     return S - x * np.vecdot(x, S, keepdims=True)
 
 
@@ -100,13 +114,13 @@ def _drift(omegas: np.ndarray, x: np.ndarray) -> np.ndarray:
 def homo_rhs(graph: CouplingGraph, z: np.ndarray) -> np.ndarray:
     """Homogeneous field: the coupling term alone, tangent at each z_i."""
     z = _check_config(graph, z)
-    return _coupling_field(graph.weight_matrix, z)
+    return _tangent_part(z, _neighbor_sum(graph, z))
 
 
 def hetero_rhs(system: LoheSystem, x: np.ndarray) -> np.ndarray:
     """Full field: per-agent rotation drift plus the coupling term."""
     x = _check_state(system, x)
-    return _drift(system.omegas, x) + _coupling_field(system.graph.weight_matrix, x)
+    return _drift(system.omegas, x) + _tangent_part(x, _neighbor_sum(system.graph, x))
 
 
 def disagreement(graph: CouplingGraph, z: np.ndarray) -> float:
@@ -134,7 +148,7 @@ def disagreement_gradient(graph: CouplingGraph, z: np.ndarray) -> np.ndarray:
     2 <grad_i V, u>; the factor 2 is the edge double counting in V.
     """
     z = _check_config(graph, z)
-    return -_coupling_field(graph.weight_matrix, z)
+    return -_tangent_part(z, _neighbor_sum(graph, z))
 
 
 def extended_rhs(system: LoheSystem, v: np.ndarray) -> np.ndarray:
@@ -161,7 +175,8 @@ def extended_field(system: LoheSystem):
         norms = np.sqrt(np.vecdot(v, v, keepdims=True))
         if norms.min() <= 1e-8:
             raise ValueError("extension undefined near the origin: row norm <= 1e-8")
-        return _drift(om, v) + _coupling_field(W, v / norms)
+        u = v / norms
+        return _drift(om, v) + _tangent_part(u, W @ u)
 
     return field
 

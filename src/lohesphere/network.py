@@ -69,11 +69,11 @@ class CouplingGraph:
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric (N, N) matrix of gains, zero off edges."""
-        i, j, k = self.edge_arrays
-        W = np.zeros((self.n_nodes, self.n_nodes))
-        W[i, j] = k
-        W[j, i] = k
+        """Dense symmetric (N, N) matrix of gains, zero off edges; read-only and cached.
+
+        The RK4 field kernels use it; one-shot evaluations sum over edge_arrays.
+        """
+        W = _dense_gains(self)
         W.setflags(write=False)
         return W
 
@@ -91,6 +91,15 @@ class CouplingGraph:
         """Zero-based neighbor list of zero-based node i."""
         a, b, _ = self.edge_arrays
         return sorted(b[a == i].tolist() + a[b == i].tolist())
+
+
+def _dense_gains(graph: CouplingGraph) -> np.ndarray:
+    """A new writable dense symmetric (N, N) matrix of gains, zero off edges."""
+    i, j, k = graph.edge_arrays
+    W = np.zeros((graph.n_nodes, graph.n_nodes))
+    W[i, j] = k
+    W[j, i] = k
+    return W
 
 
 def _canonical(n_nodes: int, pairs, gains) -> CouplingGraph:

@@ -176,14 +176,17 @@ def integrate(
 
     record(0.0, 0.0)
     drift_acc = 0.0
-    for step in range(1, n_steps + 1):
-        h = dt if step < n_steps else (t_end - dt * (n_steps - 1))
-        t = t_end if step == n_steps else step * dt
-        x, deviation = _sphere_step(field, x, h, t)
-        drift_acc = max(drift_acc, deviation)
-        if step % sample_every == 0 or step == n_steps:
-            record(t, drift_acc)
-            drift_acc = 0.0
+    # a diverging step may overflow on its way to the non-finite state that
+    # _sphere_step raises IntegrationDiverged for; that error alone reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            h = dt if step < n_steps else (t_end - dt * (n_steps - 1))
+            t = t_end if step == n_steps else step * dt
+            x, deviation = _sphere_step(field, x, h, t)
+            drift_acc = max(drift_acc, deviation)
+            if step % sample_every == 0 or step == n_steps:
+                record(t, drift_acc)
+                drift_acc = 0.0
 
     return Trajectory(
         times=np.array(times),
@@ -288,8 +291,11 @@ def find_equilibrium(
     J = field_jacobian @ T the field's exact derivative; the minimum norm
     keeps the step off the rotations that leave equilibria degenerate.
     The lowest-residual state seen anywhere is kept, so a failed polish
-    cannot lose ground. A non-finite row or a row of norm <= 1e-8 in x0
-    raises IntegrationDiverged at t = 0; a collapsed agent norm or a
+    cannot lose ground. Residuals and Newton steps sum over the edge list;
+    the RK4 kernel, and with it the graph's dense weight matrix, is built
+    only when the flow runs, so a start refined by Newton alone forms no
+    N-square matrix of gains. A non-finite row or a row of norm <= 1e-8
+    in x0 raises IntegrationDiverged at t = 0; a collapsed agent norm or a
     non-finite state in the flow raises it at the failing step's end time.
     """
     x = _check_state(system, np.array(x0, dtype=float))
@@ -302,16 +308,18 @@ def find_equilibrium(
     res = _residual(system, x)
 
     best_x, best_res = x, res
-    field = extended_field(system)
     dt, t = 1e-2, 0.0
-    while t < max_time and res > 10.0 * tol:
-        steps = max(1, int(round(min(5.0, max_time - t) / dt)))
-        for k in range(1, steps + 1):
-            x, _ = _sphere_step(field, x, dt, t + k * dt)
-        t += steps * dt
-        res = _residual(system, x)
-        if res < best_res:
-            best_x, best_res = x, res
+    if t < max_time and res > 10.0 * tol:
+        field = extended_field(system)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in integrate
+            while t < max_time and res > 10.0 * tol:
+                steps = max(1, int(round(min(5.0, max_time - t) / dt)))
+                for k in range(1, steps + 1):
+                    x, _ = _sphere_step(field, x, dt, t + k * dt)
+                t += steps * dt
+                res = _residual(system, x)
+                if res < best_res:
+                    best_x, best_res = x, res
 
     # every accepted step lowers the residual, so x stays the best point
     x, res = best_x, best_res

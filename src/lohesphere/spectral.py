@@ -44,9 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import LoheSystem, extended_rhs, frequency_total_norm
-from .dynamics import _check_config, _check_skew, _check_state
+from .dynamics import _check_config, _check_skew, _check_state, _neighbor_sum
 from .geometry import spectral_norm, tangent_basis
-from .network import CouplingGraph
+from .network import CouplingGraph, _dense_gains
 
 SYM_TOL = 1e-10
 
@@ -118,13 +118,13 @@ def assemble_A(system: LoheSystem, x: np.ndarray) -> np.ndarray:
 def field_jacobian(system: LoheSystem, x: np.ndarray) -> np.ndarray:
     """Derivative of hetero_rhs at unit rows x, exact on tangent directions.
 
-    A - diag(x_1 S_1^T, ..., x_N S_N^T) with S = W x: the extra blocks give
-    the normal component of the derivative, which A drops. Times T from
-    configuration_tangent_basis it is the field's Jacobian in tangent
-    coordinates.
+    A - diag(x_1 S_1^T, ..., x_N S_N^T) with S_i = sum_j k_ij x_j summed
+    over the edge list: the extra blocks give the normal component of the
+    derivative, which A drops. Times T from configuration_tangent_basis it
+    is the field's Jacobian in tangent coordinates.
     """
     x = _check_state(system, x)
-    S = system.graph.weight_matrix @ x
+    S = _neighbor_sum(system.graph, x)
     return _add_diagonal_blocks(assemble_A(system, x), -x[:, :, None] * S[:, None, :])
 
 
@@ -236,16 +236,17 @@ def _symmetric_spectrum(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
     N-square solves at k = 2. At k = d the tangent block of x is solved
     whole.
 
-    The tangent block is solved and released before W - diag(align) is
-    formed, so besides the cached W one N-square matrix (and the solver's
-    copy of it) is alive at a time.
+    W - diag(align) is built straight from the edge list, never from the
+    graph's cached weight matrix, and only after the tangent block is
+    solved and released: one N-square matrix (and the solver's copy of
+    it) is alive at a time.
     """
     N, d = x.shape
     _, s, vt = np.linalg.svd(x, full_matrices=False)
     k = int(np.count_nonzero(s > s[0] * max(N, d) * np.finfo(float).eps))  # matrix_rank
     parts = [np.linalg.eigvalsh(assemble_B_tangent(graph, x if k == d else x @ vt[:k].T))]
     if k < d:
-        G = graph.weight_matrix.copy()
+        G = _dense_gains(graph)
         G.flat[:: N + 1] -= _align(graph, x)
         parts.append(np.tile(np.linalg.eigvalsh(G), d - k))
     return np.sort(np.concatenate((*parts, np.zeros(N))))

@@ -514,9 +514,11 @@ def test_simulate_divergence_exits_3(tmp_path, capsys, monkeypatch):
         "seed": 0,
     }
     path = _write(tmp_path, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():  # the overflow on the way to the divergence warns nothing
+        warnings.simplefilter("error")
         assert main(["simulate", "--config", path]) == 3
-    assert "diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "diverged" in err and "RuntimeWarning" not in err
 
 
 def test_collapsed_stage_norm_exits_3(tmp_path, capsys, monkeypatch):
@@ -580,6 +582,26 @@ def test_linearize_twisted_cycle_homogeneous(tmp_path, capsys, monkeypatch):
     assert report["newton_iterations"] == 0
     assert report["residual"] <= 1e-12
     assert report["violated_links"] == []
+
+
+@pytest.mark.parametrize("frequencies", [{"mode": "zero"}, {"mode": "random", "total_norm": 0.05}])
+def test_local_certificate_builds_no_kernel_and_no_weight_matrix(monkeypatch, frequencies):
+    # a twisted start gets Newton alone, which sums over the edge list (and with drift
+    # takes steps); neither the RK4 kernel nor the dense weight matrix is built
+    import lohesphere.simulate
+    from lohesphere.network import CouplingGraph
+
+    def refuse(*args):
+        raise AssertionError("a dense kernel or weight matrix was built")
+
+    monkeypatch.setattr(lohesphere.simulate, "extended_field", refuse)
+    monkeypatch.setattr(CouplingGraph, "weight_matrix", property(refuse))
+    cfg = validate_config({"graph": {"type": "cycle", "N": 6, "k": 1.0}, "n": 2,
+                           "init": {"mode": "twisted", "q": 1}, "frequencies": frequencies,
+                           "seed": 3})
+    report, eq = cli._certify(cfg, cfg.seed, 0.0)
+    assert eq.converged
+    assert report.linearization.beta > 0
 
 
 def test_readme_linearize_example(tmp_path, capsys, monkeypatch):

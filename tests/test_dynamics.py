@@ -277,3 +277,33 @@ def test_disagreement_matches_edge_loop():
             diff = z[i] - z[j]
             loop += k * float(diff @ diff)
         assert abs(disagreement(g, z) - loop) <= 1e-12 * max(loop, 1.0)
+
+
+def _random_connected_graph(rng, N):
+    # a random spanning tree plus about N extra edges, gains off 1
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, N)}
+    for _ in range(N):
+        a, b = sorted(int(v) for v in rng.choice(N, 2, replace=False))
+        pairs.add((a, b))
+    return from_edge_list(N, [(a + 1, b + 1, float(rng.uniform(0.3, 3.0))) for a, b in pairs])
+
+
+def test_fields_match_the_dense_weight_matrix():
+    # the one-shot fields sum over the edge list; the reference sums W @ x
+    rng = np.random.default_rng(2041)
+    graphs = [complete_graph(30, 1.7), complete_graph(7, 0.4), path_graph(30, 2.3),
+              path_graph(2, 0.6), cycle_graph(30, 1.3), cycle_graph(3, 0.9)]
+    graphs += [_random_connected_graph(rng, int(rng.integers(2, 31))) for _ in range(20)]
+    for g in graphs:
+        N = g.n_nodes
+        for d in (2, 3, 4):
+            x = random_configuration(rng, N, d - 1)
+            sys = LoheSystem(g, random_frequencies(rng, N, d - 1, 1.5))
+            W = g.weight_matrix
+            S = W @ x
+            coupling = S - x * np.einsum("nd,nd->n", x, S)[:, None]
+            drift = np.einsum("nij,nj->ni", sys.omegas, x)
+            scale = np.abs(W).sum(axis=1).max()  # largest |S_i| the sum can reach
+            assert np.max(np.abs(homo_rhs(g, x) - coupling)) <= 1e-14 * scale
+            assert np.max(np.abs(hetero_rhs(sys, x) - (drift + coupling))) <= 1e-14 * max(
+                scale, np.max(np.abs(drift)))

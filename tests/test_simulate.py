@@ -114,7 +114,8 @@ def test_blowup_raises_with_positive_time():
     omega[0] = 1e160 * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
     sys = LoheSystem(g, omega)
     x0 = np.eye(3)[:2]
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationDiverged) as exc:
+    # pytest turns a RuntimeWarning into an error: the overflow on the way warns nothing
+    with pytest.raises(IntegrationDiverged) as exc:
         integrate(sys, x0, dt=1e160, t_end=1e162)
     assert exc.value.time > 0.0
     assert "diverged" in str(exc.value)
@@ -562,6 +563,21 @@ def test_find_equilibrium_flow_divergence_is_stamped_with_the_step_time(monkeypa
         find_equilibrium(sys, x0, tol=1e-10, max_time=20.0)
     assert exc.value.time == pytest.approx(7.01, abs=1e-9)
     assert calls[0] == 4 * 700 + 4
+
+
+def test_find_equilibrium_builds_no_kernel_when_no_flow_runs(monkeypatch):
+    # residuals and Newton sum over the edge list; only the flow binds the dense W
+    import lohesphere.simulate
+
+    def refuse(system):
+        raise AssertionError("the RK4 kernel was built")
+
+    monkeypatch.setattr(lohesphere.simulate, "extended_field", refuse)
+    for max_time in (0.0, 200.0):  # an exact start is within 10 * tol, so no flow runs
+        g = cycle_graph(12, gain=1.0)
+        res = find_equilibrium(_homo(g), twisted_state(12, 1, 2), tol=1e-10, max_time=max_time)
+        assert res.converged
+        assert "weight_matrix" not in g.__dict__
 
 
 def test_find_equilibrium_converges_from_twisted_start_under_drift():

@@ -584,19 +584,20 @@ def test_symmetric_spectrum_takes_the_full_rank_path_just_above_the_rank_toleran
 
 
 def test_planar_certificate_holds_one_n_square_matrix_at_a_time():
-    # the tangent block is solved and freed before W - diag(align) is formed; two live
-    # N-square matrices would peak near 2 N^2 doubles
+    # the tangent block is solved and freed before W - diag(align) is formed from the
+    # edge list, and the graph's dense weight matrix is never built; two live N-square
+    # matrices would peak near 2 N^2 doubles
     N = 600
     g = cycle_graph(N, gain=1.0)
     Q = np.linalg.qr(np.random.default_rng(2035).standard_normal((3, 3)))[0]
     system = LoheSystem(g, zero_frequencies(N, 2))
     x = twisted_state(N, 1, 2) @ Q.T
-    g.weight_matrix  # cached on the graph for the run; not counted
     tracemalloc.start()
     try:
         rep = linearize(system, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert "weight_matrix" not in g.__dict__
     assert peak < 1.5 * N * N * 8
     assert rep.beta == pytest.approx(2.0 * (1.0 - np.cos(2.0 * np.pi / N)), rel=1e-6)
