@@ -209,6 +209,8 @@ def random_frequencies(
     rescales the whole set so that sqrt(sum_i |Omega_i|_2^2) equals
     total_norm exactly in exact arithmetic.
     """
+    if n < 1:
+        raise ValueError(f"sphere dimension must be >= 1, got {n}")
     if total_norm < 0:
         raise ValueError(f"total norm must be >= 0, got {total_norm}")
     d = n + 1
@@ -235,6 +237,8 @@ def random_configuration(rng: np.random.Generator, n_agents: int, n: int) -> np.
     """N independent uniform points on the n-sphere, one per row."""
     if n_agents < 1:
         raise ValueError(f"need at least one agent, got {n_agents}")
+    if n < 1:
+        raise ValueError(f"sphere dimension must be >= 1, got {n}")
     g = rng.standard_normal((n_agents, n + 1))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 

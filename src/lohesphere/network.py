@@ -87,11 +87,6 @@ class CouplingGraph:
             a.setflags(write=False)
         return i, j, k
 
-    def neighbors(self, i: int) -> list:
-        """Zero-based neighbor list of zero-based node i."""
-        a, b, _ = self.edge_arrays
-        return sorted(b[a == i].tolist() + a[b == i].tolist())
-
 
 def _dense_gains(graph: CouplingGraph) -> np.ndarray:
     """A new writable dense symmetric (N, N) matrix of gains, zero off edges."""

@@ -252,13 +252,6 @@ def sync_radius(x: np.ndarray) -> float:
     return math.pi / 2 + math.asin(min(max(rho, 0.0), 1.0))
 
 
-def is_practically_synced(x: np.ndarray, half_angle: float = math.pi / 4) -> bool:
-    """Whether all agents fit in an open cap of the given half angle."""
-    if not (0 < half_angle < math.pi / 2):
-        raise ValueError(f"half angle must be in (0, pi/2), got {half_angle}")
-    return bool(sync_radius(x) < half_angle)
-
-
 @dataclass(frozen=True)
 class EquilibriumResult:
     """Outcome of equilibrium refinement.

@@ -45,7 +45,7 @@ import numpy as np
 
 from .dynamics import LoheSystem, extended_rhs, frequency_total_norm
 from .dynamics import _check_config, _check_skew, _check_state, _neighbor_sum
-from .geometry import spectral_norm, tangent_basis
+from .geometry import tangent_basis
 from .network import CouplingGraph, _dense_gains
 
 SYM_TOL = 1e-10
@@ -145,11 +145,6 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
-def spectral_abscissa(M: np.ndarray) -> float:
-    """Largest real part over the spectrum of M."""
-    return float(eigenvalues(M)[0].real)
-
-
 def symmetric_top_eigenvalue(B: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric matrix (symmetric solver)."""
     B = np.asarray(B, dtype=float)
@@ -199,9 +194,9 @@ def kahan_bound(B: np.ndarray, Y: np.ndarray, slack: float = 1e-8) -> KahanBound
         raise ValueError(f"B and Y must be square with equal shape, got {B.shape} and {Y.shape}")
     _check_skew(Y, "Y")
     lam = symmetric_top_eigenvalue(B)
-    absc = spectral_abscissa(B + Y)
+    absc = float(eigenvalues(B + Y)[0].real)
     gap = abs(lam - absc)
-    bound = spectral_norm(Y)
+    bound = float(np.linalg.norm(Y, 2))
     return KahanBound(gap=gap, bound=bound, holds=gap <= bound + slack)
 
 

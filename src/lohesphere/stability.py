@@ -21,7 +21,6 @@ import numpy as np
 
 from . import hull
 from .dynamics import LoheSystem
-from .geometry import great_circle_point
 from .network import CouplingGraph, min_gain
 from .spectral import LinearizationReport, linearize
 
@@ -209,7 +208,11 @@ def twisted_state(N: int, q: int, n: int) -> np.ndarray:
         raise ValueError(f"winding number must satisfy 1 <= q < N, got {q}")
     if n < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
-    return np.array([great_circle_point(2.0 * math.pi * q * i / N, n) for i in range(N)])
+    phases = 2.0 * math.pi * q * np.arange(N) / N
+    x = np.zeros((N, n + 1))
+    x[:, 0] = np.cos(phases)
+    x[:, 1] = np.sin(phases)
+    return x
 
 
 @dataclass(frozen=True)
@@ -282,31 +285,3 @@ def verify_theorem(system: LoheSystem, x: np.ndarray, factor: int = 1) -> BoundR
         conclusion_holds=bool(lin.alpha_re > ALPHA_RTOL * np.max(np.abs(lin.spectrum_A))),
         violated_links=tuple(violated),
     )
-
-
-def fixture_by_name(text: str, n: int = 2) -> np.ndarray:
-    """Build a named configuration, e.g. 'twisted:N=6,q=1' or with ',n=3'.
-
-    The n argument is the default sphere dimension and can be overridden
-    inside the name.
-    """
-    name, _, rest = text.partition(":")
-    name = name.strip().lower()
-    if name != "twisted":
-        raise ValueError(f"unknown fixture {name!r}, expected 'twisted:N=...,q=...'")
-    params = {}
-    for part in rest.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, val = part.partition("=")
-        key = key.strip()
-        if not sep or key not in ("N", "q", "n"):
-            raise ValueError(f"bad fixture parameter {part!r}")
-        try:
-            params[key] = int(val)
-        except ValueError:
-            raise ValueError(f"fixture parameter {key} must be an integer, got {val!r}")
-    if "N" not in params or "q" not in params:
-        raise ValueError("twisted fixture needs both N= and q=")
-    return twisted_state(params["N"], params["q"], params.get("n", n))

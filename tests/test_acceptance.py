@@ -27,9 +27,9 @@ from lohesphere.dynamics import (
     random_frequencies,
     zero_frequencies,
 )
-from lohesphere.geometry import random_skew, spectral_norm, tangent_basis
+from lohesphere.geometry import tangent_basis
 from lohesphere.network import CouplingGraph, cycle_graph, path_graph
-from lohesphere.simulate import integrate, integrate_kuramoto, is_practically_synced
+from lohesphere.simulate import integrate, integrate_kuramoto, sync_radius
 from lohesphere.spectral import (
     assemble_A,
     configuration_tangent_basis,
@@ -126,7 +126,7 @@ def test_criterion_03_linearization_oracle():
                 sys = LoheSystem(cycle_graph(N, gain=1.0), zero_frequencies(N, n))
                 A = assemble_A(sys, x)
                 J = fd_jacobian(sys, x, h=1e-5)
-                nA = spectral_norm(A)
+                nA = np.linalg.norm(A, 2)
                 T = configuration_tangent_basis(x)
                 for _ in range(20):
                     u = T @ rng.standard_normal(T.shape[1])
@@ -141,7 +141,7 @@ def test_criterion_04_kahan_corollary():
             m = int(rng.integers(2, 41))
             G = rng.standard_normal((m, m))
             B = (G + G.T) * float(rng.uniform(0.1, 5.0))
-            Y = random_skew(rng, m, float(rng.uniform(0.01, 5.0)))
+            Y = random_frequencies(rng, 1, m - 1, float(rng.uniform(0.01, 5.0)))[0]
             assert kahan_bound(B, Y).holds
 
 
@@ -216,7 +216,7 @@ def test_criterion_09_empirical_practical_sync_soft():
         sys = LoheSystem(graph, random_frequencies(rng, 10, 2, total_norm=0.5 * budget))
         x0 = random_configuration(rng, 10, 2)
         traj = integrate(sys, x0, dt=0.02, t_end=200.0, sample_every=10**9)
-        if is_practically_synced(traj.final_state):
+        if sync_radius(traj.final_state) < math.pi / 4:
             synced += 1
         else:
             misses.append(trial)

@@ -19,7 +19,6 @@ from lohesphere.dynamics import (
     random_frequencies,
     zero_frequencies,
 )
-from lohesphere.geometry import random_skew
 from lohesphere.network import complete_graph, cycle_graph, from_edge_list, path_graph
 from lohesphere.stability import twisted_state
 
@@ -46,7 +45,7 @@ def test_hetero_rhs_synced_zero_frequencies():
 def test_hetero_rhs_synced_reduces_to_drift():
     rng = np.random.default_rng(0)
     g = path_graph(4)
-    om = np.array([random_skew(rng, 3, 0.7) for _ in range(4)])
+    om = np.array([random_frequencies(rng, 1, 2, 0.7)[0] for _ in range(4)])
     sys = LoheSystem(graph=g, omegas=om)
     x = synced_config(4, 2)
     expected = np.einsum("nij,nj->ni", om, x)
@@ -104,7 +103,7 @@ def test_homo_rhs_twisted_equilibrium():
 def test_drift_decomposition_exact():
     rng = np.random.default_rng(3)
     g = complete_graph(4, 1.3)
-    om = np.array([random_skew(rng, 4, 1.0) for _ in range(4)])
+    om = np.array([random_frequencies(rng, 1, 3, 1.0)[0] for _ in range(4)])
     sys = LoheSystem(graph=g, omegas=om)
     x = random_configuration(rng, 4, 3)
     drift = np.einsum("nij,nj->ni", sys.omegas, x)

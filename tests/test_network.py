@@ -112,22 +112,6 @@ def test_generators_pass_connectivity():
         assert g.n_nodes == 7
 
 
-def test_neighbor_symmetry_random_graphs():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        n = int(rng.integers(3, 9))
-        # random connected graph: spanning path plus random chords
-        triples = [(i, i + 1, float(rng.uniform(0.5, 2))) for i in range(1, n)]
-        for _ in range(int(rng.integers(0, n))):
-            i, j = sorted(rng.choice(np.arange(1, n + 1), size=2, replace=False).tolist())
-            if all((a, b) != (i, j) for a, b, _ in triples):
-                triples.append((i, j, float(rng.uniform(0.5, 2))))
-        g = from_edge_list(n, triples)
-        for i in range(n):
-            for j in g.neighbors(i):
-                assert i in g.neighbors(j)
-
-
 def test_weight_matrix_symmetric_and_zero_diagonal():
     g = from_edge_list(4, [(1, 2, 1.5), (2, 3, 0.5), (3, 4, 2.0), (1, 4, 1.0)])
     W = g.weight_matrix

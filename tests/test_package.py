@@ -1,5 +1,6 @@
 """The package namespace: names load their submodules on first use."""
 
+import ast
 import importlib
 import os
 import re
@@ -58,3 +59,19 @@ def test_readme_library_example(capsys):
     assert float(beta) > 0 and conclusion == "True"
     start, end = map(float, disagreement_line.split())
     assert end < 1e-6 * start
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted((SRC / "lohesphere").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names if a.name != "*"]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert unused == []

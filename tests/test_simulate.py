@@ -25,7 +25,6 @@ from lohesphere.simulate import (
     find_equilibrium,
     integrate,
     integrate_kuramoto,
-    is_practically_synced,
     sync_radius,
 )
 from lohesphere.stability import is_dispersed, twisted_state
@@ -434,14 +433,12 @@ def test_sync_radius_rejects_bad_shape():
 
 
 def test_is_practically_synced():
+    # the final-state verdict: every agent inside an open cap of half angle pi/4
     tight = np.array([[1.0, 0.0, 0.0], [math.cos(0.1), math.sin(0.1), 0.0]])
-    assert is_practically_synced(tight)
     spread = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert not is_practically_synced(spread)
-    with pytest.raises(ValueError, match="half angle"):
-        is_practically_synced(tight, half_angle=math.pi)
-    with pytest.raises(ValueError, match="half angle"):
-        is_practically_synced(tight, half_angle=0.0)
+    for x, synced in ((tight, True), (spread, False)):
+        traj = integrate(_homo(path_graph(2), x.shape[1] - 1), x, dt=1e-3, t_end=1e-3)
+        assert traj.final_json_dict()["practically_synced"] is synced
 
 
 def test_find_equilibrium_accepts_twisted_state_immediately():

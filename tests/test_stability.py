@@ -22,7 +22,6 @@ from lohesphere.network import (
 from lohesphere.stability import (
     BoundReport,
     bound_f,
-    fixture_by_name,
     g1,
     g2,
     is_dispersed,
@@ -268,6 +267,17 @@ def test_twisted_state_square_hits_cardinal_points():
     assert np.allclose(x, expect, atol=1e-15)
 
 
+@pytest.mark.parametrize("N, q, n", [(6, 1, 2), (12, 1, 2), (7, 3, 4)])
+def test_twisted_state_is_the_closed_form_bit_for_bit(N, q, n):
+    # row i is (cos t_i, sin t_i, 0, ..., 0) with t_i = 2 pi q i / N, as one
+    # agent at a time computes it: the start of every twisted run
+    expect = np.zeros((N, n + 1))
+    for i in range(N):
+        phase = 2.0 * math.pi * q * i / N
+        expect[i, :2] = math.cos(phase), math.sin(phase)
+    assert np.array_equal(twisted_state(N, q, n), expect)
+
+
 def test_twisted_states_are_cycle_equilibria():
     for N in range(3, 10):
         for q in (1, 2):
@@ -391,17 +401,3 @@ def test_bound_report_json_keys():
     assert required <= set(d)
     assert d["dispersed"] is True
     assert d["violated_links"] == []
-
-
-def test_fixture_by_name():
-    assert np.array_equal(fixture_by_name("twisted:N=6,q=1"), twisted_state(6, 1, n=2))
-    assert np.array_equal(fixture_by_name("twisted:N=5,q=2,n=3"), twisted_state(5, 2, 3))
-    assert fixture_by_name("twisted:N=4,q=1", n=4).shape == (4, 5)
-    with pytest.raises(ValueError, match="unknown fixture"):
-        fixture_by_name("mobius:N=4")
-    with pytest.raises(ValueError, match="needs both"):
-        fixture_by_name("twisted:N=4")
-    with pytest.raises(ValueError, match="integer"):
-        fixture_by_name("twisted:N=4,q=x")
-    with pytest.raises(ValueError, match="parameter"):
-        fixture_by_name("twisted:N=4,q=1,z=9")
