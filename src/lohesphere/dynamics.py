@@ -24,10 +24,12 @@ SKEW_TOL = 1e-10
 
 
 def _check_skew(M: np.ndarray, what: str) -> None:
-    """Raise unless the square matrices on M's last two axes are skew.
+    """Raise unless the square matrices on M's last two axes are finite and skew.
 
     The tolerance is SKEW_TOL relative to max(1, max|M|) over all of M.
     """
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{what} must be finite")
     scale = max(1.0, float(np.max(np.abs(M))))
     if np.max(np.abs(M + np.swapaxes(M, -1, -2))) > SKEW_TOL * scale:
         raise ValueError(f"{what} must be skew-symmetric")

@@ -28,12 +28,17 @@ repeated d - k times, and on U it is B of the same points written in k
 coordinates. A planar configuration, such as every twisted state, then
 costs one (N (k-1))-square and one N-square symmetric solve instead of
 one (N (d-1))-square solve; full-rank configurations take the tangent
-solve unchanged. Either way beta differs from an eigensolve of the
-(N d)-square B in its last digits. With every Omega_i zero, A is B
-exactly: linearize then reads the whole spectrum of A off those solves,
-so it is real, the Kahan gap is zero and no (N d)-square matrix is
-formed. Only heterogeneous systems pay for the dense nonsymmetric solve
-of A.
+solve unchanged. When the relabelling i -> i+1 (mod N) maps the graph
+and its gains to themselves and the rows satisfy x_(i+1) = R x_i for one
+orthogonal R in those k coordinates, as every twisted state on a cycle,
+complete or circulant graph does, B is block-circulant and its spectrum
+comes from N (k-1)-square Fourier blocks and a closed form for the graph
+matrix, with no N-square matrix formed. Either way beta differs from an
+eigensolve of the (N d)-square B in its last digits. With every Omega_i
+zero, A is B exactly: linearize then reads the whole spectrum of A off
+those solves, so it is real, the Kahan gap is zero and no (N d)-square
+matrix is formed. Only heterogeneous systems pay for the dense
+nonsymmetric solve of A.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ from .geometry import tangent_basis
 from .network import CouplingGraph, _dense_gains
 
 SYM_TOL = 1e-10
+# y_(i+1) - R y_i within this many times max(N, k) ulps counts as a cyclic symmetry.
+CYCLIC_TOL = 8
 
 
 def _align(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
@@ -220,6 +227,58 @@ class LinearizationReport:
         }
 
 
+def _shift_rotation(graph: CouplingGraph, y: np.ndarray) -> np.ndarray | None:
+    """Orthogonal R with y_(i+1) = R y_i for every i mod N, or None.
+
+    None unless the relabelling i -> i+1 (mod N) maps the edge list and its
+    gains exactly onto themselves. R is the Procrustes fit of the shifted
+    rows onto the rows; it is accepted only when every y_(i+1) - R y_i,
+    the wrap from N-1 to 0 included, is at rounding level (CYCLIC_TOL
+    times max(N, k) ulps of the unit rows).
+    """
+    N, k = y.shape
+    i, j, g = graph.edge_arrays
+    a, b = (i + 1) % N, (j + 1) % N
+    shifted = np.minimum(a, b) * N + np.maximum(a, b)
+    order = np.argsort(shifted)
+    if not (np.array_equal(shifted[order], i * N + j) and np.array_equal(g[order], g)):
+        return None
+    ys = np.roll(y, -1, axis=0)
+    u, _, vt = np.linalg.svd(ys.T @ y)
+    R = u @ vt
+    if np.max(np.abs(ys - y @ R.T)) > CYCLIC_TOL * max(N, k) * np.finfo(float).eps:
+        return None
+    return R
+
+
+def _cyclic_spectrum(graph: CouplingGraph, y: np.ndarray, R: np.ndarray) -> tuple:
+    """B's tangent and graph-matrix eigenvalues at rows y_i = R^i y_0.
+
+    In the transported bases T_i = R^i T_0 the tangent block of B is
+    block-circulant: the block of agents i and i + l is k_l T_0^T R^l T_0.
+    Its spectrum is that of the N Hermitian (k-1)-square Fourier blocks
+    -align I + sum_l k_l T_0^T R^l T_0 exp(2 pi i m l / N), m = 0..N-1, over
+    the signed offsets l of node 0's neighbours; W - diag(align) is
+    circulant, with eigenvalues -align + sum_l k_l cos(2 pi m l / N).
+    R^N = I holds because the rows span R^k.
+    """
+    N, k = y.shape
+    i, j, g = graph.edge_arrays
+    at0 = i == 0
+    offsets = np.where(j[at0] <= N // 2, j[at0], j[at0] - N)
+    gains = g[at0]
+    Rl = np.array([np.linalg.matrix_power(R.T if l < 0 else R, abs(l))
+                   for l in offsets.tolist()]).reshape(-1, k, k)
+    T0 = tangent_basis(y[0])
+    C = T0.T @ Rl @ T0
+    align = _align(graph, y)[0]
+    phase = np.exp(2j * np.pi * (np.outer(np.arange(N), offsets) % N) / N) * gains
+    r = k - 1
+    H = (phase @ C.reshape(len(offsets), r * r)).reshape(N, r, r)
+    H -= align * np.eye(r)
+    return np.linalg.eigvalsh(H).ravel(), phase.real.sum(axis=1) - align
+
+
 def _symmetric_spectrum(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
     """Ascending spectrum of B at unit rows x, split along U = span(rows of x).
 
@@ -228,22 +287,31 @@ def _symmetric_spectrum(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
     singular vectors); on U-perp every P_i is the identity, so it is
     (W - diag(align)) kron I_(d-k). The spectrum is then that of y's
     tangent block, N zeros, and the graph matrix's repeated d - k times:
-    N-square solves at k = 2. At k = d the tangent block of x is solved
-    whole.
+    N-square solves at k = 2. At k = d, y = x and the tangent block of x
+    is solved whole.
 
-    W - diag(align) is built straight from the edge list, never from the
-    graph's cached weight matrix, and only after the tangent block is
-    solved and released: one N-square matrix (and the solver's copy of
-    it) is alive at a time.
+    When the graph and y are invariant under the shift i -> i+1 (mod N),
+    with y_(i+1) = R y_i (_shift_rotation), both parts come from N small
+    Fourier blocks instead (_cyclic_spectrum) and no N-square matrix is
+    formed. Otherwise W - diag(align) is built straight from the edge
+    list, never from the graph's cached weight matrix, and only after the
+    tangent block is solved and released: one N-square matrix (and the
+    solver's copy of it) is alive at a time.
     """
     N, d = x.shape
     _, s, vt = np.linalg.svd(x, full_matrices=False)
     k = int(np.count_nonzero(s > s[0] * max(N, d) * np.finfo(float).eps))  # matrix_rank
-    parts = [np.linalg.eigvalsh(assemble_B_tangent(graph, x if k == d else x @ vt[:k].T))]
-    if k < d:
-        G = _dense_gains(graph)
-        G.flat[:: N + 1] -= _align(graph, x)
-        parts.append(np.tile(np.linalg.eigvalsh(G), d - k))
+    y = x if k == d else x @ vt[:k].T
+    R = _shift_rotation(graph, y)
+    if R is not None:
+        tangent, circulant = _cyclic_spectrum(graph, y, R)
+        parts = [tangent, np.tile(circulant, d - k)]
+    else:
+        parts = [np.linalg.eigvalsh(assemble_B_tangent(graph, y))]
+        if k < d:
+            G = _dense_gains(graph)
+            G.flat[:: N + 1] -= _align(graph, x)
+            parts.append(np.tile(np.linalg.eigvalsh(G), d - k))
     return np.sort(np.concatenate((*parts, np.zeros(N))))
 
 

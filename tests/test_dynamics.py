@@ -255,6 +255,16 @@ def test_lohe_system_validation():
         LoheSystem(graph=g, omegas=bad)
 
 
+def test_lohe_system_rejects_non_finite_frequencies():
+    # NaN fails every comparison, and an infinite entry made the tolerance infinite
+    g = path_graph(2)
+    facing = np.zeros((2, 3, 3))
+    facing[0, 0, 1], facing[0, 1, 0] = np.inf, 1.0
+    for omegas in (np.full((2, 3, 3), np.nan), facing):
+        with pytest.raises(ValueError, match="finite"):
+            LoheSystem(graph=g, omegas=omegas)
+
+
 def test_random_configuration_unit_rows():
     x = random_configuration(np.random.default_rng(13), 6, 4)
     assert x.shape == (6, 5)

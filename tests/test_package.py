@@ -61,6 +61,15 @@ def test_readme_library_example(capsys):
     assert end < 1e-6 * start
 
 
+def test_every_benchmark_trace_hook_resolves():
+    # perfbench/trace_cli.py wraps functions by module and name after importing the CLI;
+    # a hook that no longer resolves drops its metrics from every traced benchmark run
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent / 'perfbench')!r}); "
+            "import trace_cli; rec = trace_cli.Recorder(); trace_cli.install(rec); "
+            "print(sorted({h[0] for h in trace_cli.HOOKS} - set(rec.names)))")
+    assert _run(code) == "[]"
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
     for path in sorted((SRC / "lohesphere").glob("*.py")):

@@ -492,7 +492,11 @@ def test_linearize_rejects_non_finite_configuration(monkeypatch, total_norm):
 def _rank_k_cases():
     # configurations spanning a k-dimensional subspace of R^d, k < d, turned
     # by a random rotation; random graphs with unequal gains, one agent, and
-    # points that are not equilibria
+    # points that are not equilibria. The last field says whether the shift
+    # i -> i+1 maps the case to itself: one agent, and two agents on their
+    # one edge (y_1 = R y_0 and y_0 = R y_1 for the reflection R that swaps
+    # them) and twisted states are; the random graphs on 5 and 13 agents are
+    # not, and keep the dense planar split covered.
     rng = np.random.default_rng(2029)
     for d in (3, 4, 5):
         for k in range(1, d):
@@ -503,29 +507,35 @@ def _rank_k_cases():
                 x = np.hstack((y, np.zeros((N, d - k)))) @ Q.T
                 x /= np.linalg.norm(x, axis=1, keepdims=True)
                 g = CouplingGraph(1, (), ()) if N == 1 else _random_graph(rng, N)
-                yield g, d - 1, x
+                yield g, d - 1, x, N <= 2
     for N in (6, 10):  # twisted states are planar
-        yield cycle_graph(N, gain=1.0), 3, twisted_state(N, 1, 3)
-        yield complete_graph(N, gain=0.7), 4, twisted_state(N, 2, 4)
+        yield cycle_graph(N, gain=1.0), 3, twisted_state(N, 1, 3), True
+        yield complete_graph(N, gain=0.7), 4, twisted_state(N, 2, 4), True
 
 
 def _solved_sizes(mp):
-    # record the size of every symmetric solve
+    # record the shape of every symmetric solve
     sizes, eigvalsh = [], np.linalg.eigvalsh
 
     def spy(M):
-        sizes.append(M.shape[0])
+        sizes.append(M.shape)
         return eigvalsh(M)
 
     mp.setattr(np.linalg, "eigvalsh", spy)
     return sizes
 
 
+def _dense_sizes(N, k, d):
+    # the tangent block of the k-dimensional coordinates, then the graph matrix when k < d
+    return [(N * (k - 1), N * (k - 1))] + ([(N, N)] if k < d else [])
+
+
 def test_symmetric_spectrum_split_is_the_dense_spectrum_of_B(monkeypatch):
     rng = np.random.default_rng(2030)
-    for g, n, x in _rank_k_cases():
+    for g, n, x, cyclic in _rank_k_cases():
         N = g.n_nodes
-        assert np.linalg.matrix_rank(x) < n + 1
+        k = np.linalg.matrix_rank(x)
+        assert k < n + 1
         B = assemble_B(g, x)
         dense = np.linalg.eigvalsh(B)
         scale = max(1.0, np.linalg.norm(B, 2))
@@ -533,7 +543,7 @@ def test_symmetric_spectrum_split_is_the_dense_spectrum_of_B(monkeypatch):
             sizes = _solved_sizes(mp)
             mp.setattr(np.linalg, "eigvals", _refuse)
             rep = linearize(LoheSystem(g, zero_frequencies(N, n)), x)
-        assert sizes == [N * (np.linalg.matrix_rank(x) - 1), N]
+        assert sizes == ([(N, k - 1, k - 1)] if cyclic else _dense_sizes(N, k, n + 1))
         assert np.max(np.abs(rep.spectrum_A - dense[::-1])) <= 1e-12 * scale
         assert np.count_nonzero(rep.spectrum_A == 0.0) >= N
         drifted = linearize(LoheSystem(g, random_frequencies(rng, N, n, total_norm=0.4)), x)
@@ -572,7 +582,7 @@ def test_symmetric_spectrum_takes_the_full_rank_path_just_above_the_rank_toleran
         with monkeypatch.context() as mp:
             sizes = _solved_sizes(mp)
             spec = _symmetric_spectrum(g, x)
-        assert sizes == ([2 * N] if full_rank else [N, N])
+        assert sizes == _dense_sizes(N, 3 if full_rank else 2, 3)
         B = assemble_B(g, x)
         nB = max(1.0, np.linalg.norm(B, 2))
         assert np.max(np.abs(spec - np.linalg.eigvalsh(B))) <= 1e-12 * nB
@@ -584,20 +594,92 @@ def test_symmetric_spectrum_takes_the_full_rank_path_just_above_the_rank_toleran
 
 
 def test_planar_certificate_holds_one_n_square_matrix_at_a_time():
-    # the tangent block is solved and freed before W - diag(align) is formed from the
-    # edge list, and the graph's dense weight matrix is never built; two live N-square
-    # matrices would peak near 2 N^2 doubles
+    # with one unequal gain the ring takes the planar split: the tangent block is solved
+    # and freed before W - diag(align) is formed from the edge list, and the graph's
+    # dense weight matrix is never built; two live N-square matrices would peak near
+    # 2 N^2 doubles. The ring itself is cyclically symmetric and forms none.
     N = 600
-    g = cycle_graph(N, gain=1.0)
     Q = np.linalg.qr(np.random.default_rng(2035).standard_normal((3, 3)))[0]
-    system = LoheSystem(g, zero_frequencies(N, 2))
     x = twisted_state(N, 1, 2) @ Q.T
-    tracemalloc.start()
-    try:
-        rep = linearize(system, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert "weight_matrix" not in g.__dict__
-    assert peak < 1.5 * N * N * 8
+    uneven = from_edge_list(N, [(i + 1, (i + 1) % N + 1, 2.0 if i == 0 else 1.0)
+                                for i in range(N)])
+    for g, limit in ((uneven, 1.5), (cycle_graph(N, gain=1.0), 0.1)):
+        system = LoheSystem(g, zero_frequencies(N, 2))
+        tracemalloc.start()
+        try:
+            rep = linearize(system, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "weight_matrix" not in g.__dict__
+        assert peak < limit * N * N * 8
     assert rep.beta == pytest.approx(2.0 * (1.0 - np.cos(2.0 * np.pi / N)), rel=1e-6)
+
+
+def _circulant_graph(N, offsets, gain):
+    # node i joined to i + o (mod N) for every offset o, one-based
+    return from_edge_list(N, [(i + 1, (i + o) % N + 1, gain) for i in range(N) for o in offsets])
+
+
+def _cyclic_cases():
+    # rows with x_(i+1) = R x_i on graphs that the shift i -> i+1 maps to themselves,
+    # turned by a random orthogonal matrix: q-twisted states (planar; q = N/2 puts the
+    # agents at two antipodal points) and circles of latitude (three-dimensional span)
+    rng = np.random.default_rng(2036)
+    for N in (5, 8, 13):
+        for g in (cycle_graph(N, gain=0.8), complete_graph(N, gain=0.3),
+                  _circulant_graph(N, (1, 2), 1.3)):
+            for n in (1, 2, 3, 4):
+                for q in sorted({1, 2, 3, N // 2}):
+                    Q = np.linalg.qr(rng.standard_normal((n + 1, n + 1)))[0]
+                    yield g, n, twisted_state(N, q, n) @ Q.T
+            for n in (2, 4):
+                phase = 2.0 * np.pi * 2 * np.arange(N) / N
+                x = np.zeros((N, n + 1))
+                x[:, 0], x[:, 1], x[:, 2] = 0.6 * np.cos(phase), 0.6 * np.sin(phase), 0.8
+                yield g, n, x @ np.linalg.qr(rng.standard_normal((n + 1, n + 1)))[0].T
+    Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    yield cycle_graph(600, gain=1.0), 2, twisted_state(600, 1, 2) @ Q.T
+
+
+def test_cyclic_spectrum_is_the_dense_spectrum_of_B(monkeypatch):
+    # one batched solve of N (k-1)-square Fourier blocks, no N-square matrix
+    rng = np.random.default_rng(2037)
+    for g, n, x in _cyclic_cases():
+        N = g.n_nodes
+        k = np.linalg.matrix_rank(x)
+        B = assemble_B(g, x)
+        dense = np.linalg.eigvalsh(B)
+        scale = max(1.0, np.linalg.norm(B, 2))
+        with monkeypatch.context() as mp:
+            sizes = _solved_sizes(mp)
+            mp.setattr(np.linalg, "eigvals", _refuse)
+            rep = linearize(LoheSystem(g, zero_frequencies(N, n)), x)
+        assert sizes == [(N, k - 1, k - 1)]
+        assert np.max(np.abs(rep.spectrum_A - dense[::-1])) <= 1e-12 * scale
+        assert np.count_nonzero(rep.spectrum_A == 0.0) >= N
+        drifted = linearize(LoheSystem(g, random_frequencies(rng, N, n, total_norm=0.4)), x)
+        assert abs(drifted.beta - dense[-1]) <= 1e-12 * scale
+
+
+def test_inputs_without_cyclic_symmetry_take_the_dense_path(monkeypatch):
+    N = 12
+    rng = np.random.default_rng(2038)
+    ring = twisted_state(N, 1, 2)
+    moved = ring.copy()
+    moved[4] = [np.cos(2.0 * np.pi * 4 / N + 1e-9), np.sin(2.0 * np.pi * 4 / N + 1e-9), 0.0]
+    phase = rng.uniform(0.0, 2.0 * np.pi, N)
+    scattered = np.stack((np.cos(phase), np.sin(phase), np.zeros(N)), axis=1)
+    uneven = from_edge_list(N, [(i + 1, (i + 1) % N + 1, 1.5 if i == 3 else 1.0)
+                                for i in range(N)])
+    cases = ((path_graph(N, gain=1.0), ring), (uneven, ring),
+             (cycle_graph(N, gain=1.0), moved), (cycle_graph(N, gain=1.0), scattered))
+    for g, x in cases:
+        x = x @ np.linalg.qr(rng.standard_normal((3, 3)))[0].T
+        B = assemble_B(g, x)
+        with monkeypatch.context() as mp:
+            sizes = _solved_sizes(mp)
+            spec = _symmetric_spectrum(g, x)
+        assert sizes == _dense_sizes(N, 2, 3)
+        assert np.max(np.abs(spec - np.linalg.eigvalsh(B))) <= 1e-12 * np.linalg.norm(B, 2)
+
