@@ -24,8 +24,9 @@ from .dynamics import (
     hetero_rhs,
     kuramoto_rhs,
 )
+from .geometry import tangent_basis
 from .network import CouplingGraph
-from .spectral import configuration_tangent_basis, field_jacobian
+from .spectral import assemble_A
 
 
 class IntegrationDiverged(RuntimeError):
@@ -279,10 +280,13 @@ def find_equilibrium(
     Integrates the flow in steps of 0.01 until the residual max_i |rhs_i|
     falls below 10 * tol or the time budget runs out (max_time = 0 skips
     straight to the polish), then applies up to 40 damped Gauss-Newton
-    steps in tangent coordinates. Each step is the minimum-norm least
-    squares solution of J xi = -F, with F the full residual hetero_rhs and
-    J = field_jacobian @ T the field's exact derivative; the minimum norm
-    keeps the step off the rotations that leave equilibria degenerate.
+    steps in tangent coordinates T_i = tangent_basis(x_i). Each step moves
+    agent i by T_i xi_i, with xi the minimum-norm least squares solution of
+    [M; diag(-F_i^T T_i)] xi = [-(T_i^T F_i)_i; 0], where F is the full
+    residual hetero_rhs and M = assemble_A the field's exact linearization:
+    the derivative of F along T xi written in each agent's frame
+    [T_i, x_i], normal rows last. The minimum norm keeps the step off the
+    rotations that leave equilibria degenerate.
     The lowest-residual state seen anywhere is kept, so a failed polish
     cannot lose ground. Residuals and Newton steps sum over the edge list;
     the RK4 kernel, and with it the graph's dense weight matrix, is built
@@ -320,10 +324,14 @@ def find_equilibrium(
     for _ in range(40):
         if res <= tol:
             break
-        T = configuration_tangent_basis(x)
-        J = field_jacobian(system, x) @ T
-        xi = np.linalg.lstsq(J, -hetero_rhs(system, x).ravel(), rcond=None)[0]
-        step = (T @ xi).reshape(x.shape)
+        T = tangent_basis(x)
+        FT = (hetero_rhs(system, x)[:, None, :] @ T)[:, 0, :]  # row i is F_i^T T_i
+        N, r = FT.shape
+        normal = np.zeros((N, N, r))
+        normal[np.arange(N), np.arange(N)] = -FT
+        J = np.vstack((assemble_A(system, x), normal.reshape(N, N * r)))
+        xi = np.linalg.lstsq(J, np.concatenate((-FT.ravel(), np.zeros(N))), rcond=None)[0]
+        step = (T @ xi.reshape(N, r, 1))[:, :, 0]
         for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64):
             cand = x + damp * step
             cand = cand / np.linalg.norm(cand, axis=1, keepdims=True)

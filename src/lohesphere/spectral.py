@@ -1,25 +1,22 @@
 """Exact linearization of the model and its spectral analysis.
 
-At a configuration x the linearization of the full field splits as
-A = diag(Omega_1, ..., Omega_N) + B, where B is the symmetric coupling
-block matrix
+At a configuration x of unit rows, with T_i = tangent_basis(x_i), the
+field's linearization on the product of spheres is the (N (d-1))-square
+matrix M = B + diag(T_1^T Omega_1 T_1, ..., T_N^T Omega_N T_N), where B
+is the symmetric coupling block matrix in tangent coordinates
 
-    B_ii = -(sum_j k_ij <x_j, x_i>) (I - x_i x_i^T)
-    B_ij = k_ij (I - x_i x_i^T)(I - x_j x_j^T)   for edges {i, j}
-    B_ij = 0                                      otherwise.
+    B_ii = -(sum_j k_ij <x_j, x_i>) I
+    B_ij = k_ij T_i^T T_j      for edges {i, j}
+    B_ij = 0                   otherwise.
 
 B is the linearization of the homogeneous field at its own equilibria;
-its largest eigenvalue beta controls instability there, and by a
-perturbation bound for skew perturbations of symmetric matrices the
-spectral abscissa of A stays within the total frequency norm of beta.
-
-Every block of B is projected onto tangent spaces on both sides, so at a
-configuration of unit rows each agent's normal direction x_i is an exact
-kernel vector of B, and the spectrum of B is that of T^T B T plus N
-zeros, with T from configuration_tangent_basis. linearize assembles that
-(N (d-1))-square tangent block directly (assemble_B_tangent) and takes
-beta from its symmetric solve, with the N normal zeros merged in as
-exact 0.0.
+its largest eigenvalue beta controls instability there, and by Kahan's
+bound for skew perturbations of symmetric matrices the spectral abscissa
+of M stays within max_i |Omega_i|_2, so within the total frequency norm,
+of beta. The ambient extension of the field also has each normal
+direction x_i as an exact zero eigenvector, so linearize reports N exact
+zeros next to the spectrum of M, and beta and the abscissa are never
+below 0.
 
 When the rows span only a k-dimensional subspace U (k < d, numerical
 rank), B also splits along U and its complement: on the complement every
@@ -34,11 +31,10 @@ orthogonal R in those k coordinates, as every twisted state on a cycle,
 complete or circulant graph does, B is block-circulant and its spectrum
 comes from N (k-1)-square Fourier blocks and a closed form for the graph
 matrix, with no N-square matrix formed. Either way beta differs from an
-eigensolve of the (N d)-square B in its last digits. With every Omega_i
-zero, A is B exactly: linearize then reads the whole spectrum of A off
-those solves, so it is real, the Kahan gap is zero and no (N d)-square
-matrix is formed. Only heterogeneous systems pay for the dense
-nonsymmetric solve of A.
+eigensolve of B in its last digits. With every Omega_i zero, M is B
+exactly: linearize then reads the whole spectrum off those solves, so it
+is real and the Kahan gap is zero. Only heterogeneous systems pay for the
+dense nonsymmetric solve of M.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import LoheSystem, extended_rhs, frequency_total_norm
-from .dynamics import _check_config, _check_skew, _check_state, _neighbor_sum
+from .dynamics import _check_config, _check_skew, _check_state
 from .geometry import tangent_basis
 from .network import CouplingGraph, _dense_gains
 
@@ -66,32 +62,11 @@ def _align(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
 
 
 def assemble_B(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
-    """Symmetric coupling block matrix at configuration x, shape (N d, N d).
+    """Symmetric coupling block matrix B at unit rows x, shape (N (d-1), N (d-1)).
 
-    Each block is computed independently from its formula; symmetry of
-    the result is a consequence, not an enforcement, which keeps the
-    block formulas honest.
-    """
-    x = _check_config(graph, x)
-    N, d = x.shape
-    i, j, k = graph.edge_arrays
-    P = np.eye(d) - x[:, :, None] * x[:, None, :]
-    align = _align(graph, x)
-    B = np.zeros((N * d, N * d))
-    blocks = B.reshape(N, d, N, d)
-    nodes = np.arange(N)
-    blocks[nodes, :, nodes, :] = -align[:, None, None] * P
-    blocks[i, :, j, :] = k[:, None, None] * (P[i] @ P[j])
-    blocks[j, :, i, :] = k[:, None, None] * (P[j] @ P[i])
-    return B
-
-
-def assemble_B_tangent(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
-    """B in tangent coordinates, T^T B T, shape (N (d-1), N (d-1)).
-
-    x must hold unit rows. Since P_i T_i = T_i, the diagonal blocks are
+    In the tangent bases T_i = tangent_basis(x_i) the diagonal blocks are
     -(sum_j k_ij <x_j, x_i>) I and the block of edge {i, j} is
-    k_ij T_i^T T_j, with T_i = tangent_basis(x_i).
+    k_ij T_i^T T_j.
     """
     x = _check_config(graph, x)
     N, d = x.shape
@@ -99,40 +74,33 @@ def assemble_B_tangent(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
     i, j, k = graph.edge_arrays
     T = tangent_basis(x)
     align = _align(graph, x)
-    BT = np.zeros((N * r, N * r))
-    blocks = BT.reshape(N, r, N, r)
+    B = np.zeros((N * r, N * r))
+    blocks = B.reshape(N, r, N, r)
     nodes = np.arange(N)
     blocks[nodes, :, nodes, :] = -align[:, None, None] * np.eye(r)
     blocks[i, :, j, :] = k[:, None, None] * (T[i].mT @ T[j])
     blocks[j, :, i, :] = k[:, None, None] * (T[j].mT @ T[i])
-    return BT
-
-
-def _add_diagonal_blocks(M: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Add blocks[i] to the i-th diagonal block of M in place; returns M."""
-    N, d = blocks.shape[:2]
-    nodes = np.arange(N)
-    M.reshape(N, d, N, d)[nodes, :, nodes, :] += blocks
-    return M
+    return B
 
 
 def assemble_A(system: LoheSystem, x: np.ndarray) -> np.ndarray:
-    """Full linearization B + diag(Omega_1, ..., Omega_N)."""
-    x = _check_state(system, x)
-    return _add_diagonal_blocks(assemble_B(system.graph, x), system.omegas)
+    """The field's linearization in tangent coordinates, shape (N (d-1), N (d-1)).
 
-
-def field_jacobian(system: LoheSystem, x: np.ndarray) -> np.ndarray:
-    """Derivative of hetero_rhs at unit rows x, exact on tangent directions.
-
-    A - diag(x_1 S_1^T, ..., x_N S_N^T) with S_i = sum_j k_ij x_j summed
-    over the edge list: the extra blocks give the normal component of the
-    derivative, which A drops. Times T from configuration_tangent_basis it
-    is the field's Jacobian in tangent coordinates.
+    M = assemble_B + diag(T_1^T Omega_1 T_1, ..., T_N^T Omega_N T_N) at unit
+    rows x: the Jacobian of hetero_rhs on the product of spheres.
     """
     x = _check_state(system, x)
-    S = _neighbor_sum(system.graph, x)
-    return _add_diagonal_blocks(assemble_A(system, x), -x[:, :, None] * S[:, None, :])
+    N, d = x.shape
+    T = tangent_basis(x)
+    M = assemble_B(system.graph, x)
+    nodes = np.arange(N)
+    M.reshape(N, d - 1, N, d - 1)[nodes, :, nodes, :] += T.mT @ system.omegas @ T
+    return M
+
+
+def _descending(vals: np.ndarray) -> np.ndarray:
+    # descending real part, ties broken by descending imaginary part
+    return vals[np.lexsort((-vals.imag, -vals.real))]
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -147,9 +115,7 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
-    vals = np.linalg.eigvals(M)
-    order = np.lexsort((-vals.imag, -vals.real))
-    return vals[order]
+    return _descending(np.linalg.eigvals(M))
 
 
 def symmetric_top_eigenvalue(B: np.ndarray) -> float:
@@ -165,8 +131,8 @@ def fd_jacobian(system: LoheSystem, x: np.ndarray, h: float = 1e-5) -> np.ndarra
     """Central-difference Jacobian of the ambient extension field at x.
 
     Column e is (F(x + h e) - F(x - h e)) / (2 h) flattened row-major.
-    A test oracle for the exact field_jacobian, which it matches on
-    tangent directions at any unit configuration.
+    A test oracle for the exact linearization: with T the block-diagonal
+    tangent basis, T^T J T matches assemble_A at any unit configuration.
     """
     x = _check_config(system.graph, x)
     N, d = x.shape
@@ -211,11 +177,11 @@ def kahan_bound(B: np.ndarray, Y: np.ndarray, slack: float = 1e-8) -> KahanBound
 class LinearizationReport:
     """Spectral summary of the linearization at one configuration."""
 
-    beta: float  # top eigenvalue of symmetric part B
-    alpha_re: float  # spectral abscissa of full A
+    beta: float  # top eigenvalue of symmetric part B, or 0
+    alpha_re: float  # spectral abscissa of M = assemble_A, or 0
     kahan_gap: float  # |beta - alpha_re|
     omega_norm: float  # root-sum-square of frequency spectral norms
-    spectrum_A: np.ndarray  # complex eigenvalues of A, descending real part
+    spectrum_A: np.ndarray  # eigenvalues of M plus N normal zeros, descending real part
 
     def to_json_dict(self) -> dict:
         return {
@@ -252,10 +218,10 @@ def _shift_rotation(graph: CouplingGraph, y: np.ndarray) -> np.ndarray | None:
 
 
 def _cyclic_spectrum(graph: CouplingGraph, y: np.ndarray, R: np.ndarray) -> tuple:
-    """B's tangent and graph-matrix eigenvalues at rows y_i = R^i y_0.
+    """B's eigenvalues and the graph matrix's at rows y_i = R^i y_0.
 
-    In the transported bases T_i = R^i T_0 the tangent block of B is
-    block-circulant: the block of agents i and i + l is k_l T_0^T R^l T_0.
+    In the transported bases T_i = R^i T_0, B is block-circulant: the
+    block of agents i and i + l is k_l T_0^T R^l T_0.
     Its spectrum is that of the N Hermitian (k-1)-square Fourier blocks
     -align I + sum_l k_l T_0^T R^l T_0 exp(2 pi i m l / N), m = 0..N-1, over
     the signed offsets l of node 0's neighbours; W - diag(align) is
@@ -280,22 +246,24 @@ def _cyclic_spectrum(graph: CouplingGraph, y: np.ndarray, R: np.ndarray) -> tupl
 
 
 def _symmetric_spectrum(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of B at unit rows x, split along U = span(rows of x).
+    """Ascending spectrum of B plus N normal zeros at unit rows x, split along U.
 
-    With k = rank(x) < d, B maps both sum_i U and sum_i U-perp into
-    themselves. On U it is B at y = x Q_k in R^k (Q_k the leading right
-    singular vectors); on U-perp every P_i is the identity, so it is
-    (W - diag(align)) kron I_(d-k). The spectrum is then that of y's
-    tangent block, N zeros, and the graph matrix's repeated d - k times:
-    N-square solves at k = 2. At k = d, y = x and the tangent block of x
-    is solved whole.
+    Written in R^(N d), with the projector P_i = I - x_i x_i^T in place of
+    T_i on both sides of every block, B has these N zeros on the normal
+    directions. With k = rank(x) < d it maps both sum_i U and
+    sum_i U-perp into themselves, U = span(rows of x). On U it is B at
+    y = x Q_k in R^k (Q_k the leading right singular vectors); on U-perp
+    every P_i is the identity, so it is (W - diag(align)) kron I_(d-k).
+    The spectrum is then that of B at y, N zeros, and the graph matrix's
+    repeated d - k times: N-square solves at k = 2. At k = d, y = x and
+    B at x is solved whole.
 
     When the graph and y are invariant under the shift i -> i+1 (mod N),
     with y_(i+1) = R y_i (_shift_rotation), both parts come from N small
     Fourier blocks instead (_cyclic_spectrum) and no N-square matrix is
     formed. Otherwise W - diag(align) is built straight from the edge
     list, never from the graph's cached weight matrix, and only after the
-    tangent block is solved and released: one N-square matrix (and the
+    block of y is solved and released: one N-square matrix (and the
     solver's copy of it) is alive at a time.
     """
     N, d = x.shape
@@ -307,7 +275,7 @@ def _symmetric_spectrum(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
         tangent, circulant = _cyclic_spectrum(graph, y, R)
         parts = [tangent, np.tile(circulant, d - k)]
     else:
-        parts = [np.linalg.eigvalsh(assemble_B_tangent(graph, y))]
+        parts = [np.linalg.eigvalsh(assemble_B(graph, y))]
         if k < d:
             G = _dense_gains(graph)
             G.flat[:: N + 1] -= _align(graph, x)
@@ -316,16 +284,17 @@ def _symmetric_spectrum(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
 
 
 def linearize(system: LoheSystem, x: np.ndarray) -> LinearizationReport:
-    """Summarize the spectra of B and of A at a configuration x of unit rows.
+    """Summarize the spectra of B and of M = assemble_A at unit rows x.
 
-    B's spectrum is the symmetric solve of its tangent block, split along
-    the span of the rows when they are rank deficient, plus N exact zeros,
-    so beta is max(lambda_max(T^T B T), 0). With every Omega_i zero,
-    A is B exactly, so spectrum_A is that spectrum, real and in descending
-    order, and kahan_gap is 0. Otherwise A's spectrum comes from the dense
-    nonsymmetric eigenvalues of assemble_A. Raises ValueError when x is
-    not finite or a row's norm is off 1 by more than 1e-9, since B's
-    formula and its tangent split both need unit rows.
+    B's spectrum is its symmetric solve, split along the span of the rows
+    when they are rank deficient, plus N exact zeros, so beta is
+    max(lambda_max(B), 0). With every Omega_i zero, M is B exactly, so
+    spectrum_A is that spectrum, real and in descending order, and
+    kahan_gap is 0. Otherwise spectrum_A is the dense nonsymmetric
+    spectrum of M merged with the same N normal zeros, so alpha_re is
+    max(Re lambda(M), 0). Raises ValueError when x is not finite or a
+    row's norm is off 1 by more than 1e-9, since B's formula and its
+    tangent split both need unit rows.
     """
     x = _check_state(system, x)
     if not np.all(np.isfinite(x)):
@@ -335,7 +304,8 @@ def linearize(system: LoheSystem, x: np.ndarray) -> LinearizationReport:
     sym = _symmetric_spectrum(system.graph, x)
     beta = float(sym[-1])
     if np.any(system.omegas):
-        spec = eigenvalues(assemble_A(system, x))
+        tangent = eigenvalues(assemble_A(system, x))
+        spec = _descending(np.concatenate((tangent, np.zeros(len(x)))))
     else:
         spec = sym[::-1].astype(complex)
     alpha = float(spec[0].real)
@@ -346,16 +316,3 @@ def linearize(system: LoheSystem, x: np.ndarray) -> LinearizationReport:
         omega_norm=frequency_total_norm(system.omegas),
         spectrum_A=spec,
     )
-
-
-def configuration_tangent_basis(x: np.ndarray) -> np.ndarray:
-    """Block-diagonal orthonormal basis of the configuration tangent space.
-
-    Shape (N d, N (d - 1)); column blocks are per-agent tangent bases.
-    """
-    x = np.asarray(x, dtype=float)
-    N, d = x.shape
-    T = np.zeros((N * d, N * (d - 1)))
-    nodes = np.arange(N)
-    T.reshape(N, d, N, d - 1)[nodes, :, nodes, :] = tangent_basis(x)
-    return T

@@ -7,6 +7,7 @@ import pytest
 
 from lohesphere.dynamics import (
     LoheSystem,
+    hetero_rhs,
     random_configuration,
     random_frequencies,
     zero_frequencies,
@@ -18,16 +19,14 @@ from lohesphere.network import (
     from_edge_list,
     path_graph,
 )
+from lohesphere.geometry import tangent_basis
 from lohesphere.simulate import find_equilibrium
 from lohesphere.spectral import (
     _symmetric_spectrum,
     assemble_A,
     assemble_B,
-    assemble_B_tangent,
-    configuration_tangent_basis,
     eigenvalues,
     fd_jacobian,
-    field_jacobian,
     kahan_bound,
     linearize,
     symmetric_top_eigenvalue,
@@ -48,37 +47,47 @@ def _random_graph(rng, N):
     return from_edge_list(N, [(a + 1, b + 1, float(rng.uniform(0.1, 3.0))) for a, b in pairs])
 
 
-def _tangent_restricted(M, x):
-    """Compress an (N d, N d) operator to tangent coordinates, T^T M T."""
-    T = configuration_tangent_basis(x)
-    return T.T @ M @ T
-
-
-def _blockdiag(omegas):
-    N, d, _ = omegas.shape
-    D = np.zeros((N * d, N * d))
+def _blockdiag(blocks):
+    """Block-diagonal matrix of N (p, q) blocks, shape (N p, N q)."""
+    N, p, q = blocks.shape
+    D = np.zeros((N * p, N * q))
     for i in range(N):
-        D[i * d : (i + 1) * d, i * d : (i + 1) * d] = omegas[i]
+        D[i * p : (i + 1) * p, i * q : (i + 1) * q] = blocks[i]
     return D
 
 
+def _frame(x):
+    """Block-diagonal orthonormal basis of the configuration's tangent space, (N d, N (d-1))."""
+    return _blockdiag(tangent_basis(x))
+
+
+def _ambient_B(g, x):
+    """B in R^(N d), block by block: the projectors P_i = I - x_i x_i^T on both sides."""
+    N, d = x.shape
+    P = np.eye(d)[None, :, :] - np.einsum("ni,nj->nij", x, x)
+    align = np.einsum("ij,jd,id->i", g.weight_matrix, x, x)
+    B = _blockdiag(-align[:, None, None] * P)
+    for (i, j), k in zip(g.edges, g.gains):
+        si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
+        B[si, sj] = k * (P[i] @ P[j])
+        B[sj, si] = k * (P[j] @ P[i])
+    return B
+
+
 def test_assemble_B_phase_synced_pair():
-    # x1 = x2 = e1: diagonal blocks -(I - e1 e1^T), off-diagonal +(I - e1 e1^T)
+    # x1 = x2 = e1 share the tangent e2: diagonal -1, off-diagonal +1
     x = np.array([[1.0, 0.0], [1.0, 0.0]])
     B = assemble_B(_pair_graph(), x)
-    P = np.diag([0.0, 1.0])
-    expect = np.block([[-P, P], [P, -P]])
-    assert np.allclose(B, expect, atol=1e-15)
+    assert np.allclose(B, [[-1.0, 1.0], [1.0, -1.0]], atol=1e-15)
     vals = np.linalg.eigvalsh(B)
-    assert np.allclose(sorted(vals), [-2.0, 0.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(sorted(vals), [-2.0, 0.0], atol=1e-12)
     assert abs(symmetric_top_eigenvalue(B)) <= 1e-12
 
 
 def test_assemble_B_antipodal_pair_unstable():
     x = np.array([[1.0, 0.0], [-1.0, 0.0]])
     B = assemble_B(_pair_graph(), x)
-    P = np.diag([0.0, 1.0])
-    assert np.allclose(B, np.block([[P, P], [P, P]]), atol=1e-15)
+    assert np.allclose(B, [[1.0, 1.0], [1.0, 1.0]], atol=1e-15)
     assert symmetric_top_eigenvalue(B) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -94,10 +103,10 @@ def test_assemble_B_zero_blocks_off_edges():
     rng = np.random.default_rng(8)
     x = random_configuration(rng, 4, 2)
     B = assemble_B(path_graph(4, gain=1.0), x)
-    d = 3
+    r = 2
     # path 1-2-3-4 has no {0,2}, {0,3}, {1,3} edges
     for i, j in ((0, 2), (0, 3), (1, 3)):
-        assert np.all(B[i * d : (i + 1) * d, j * d : (j + 1) * d] == 0.0)
+        assert np.all(B[i * r : (i + 1) * r, j * r : (j + 1) * r] == 0.0)
 
 
 def test_assemble_B_symmetry_on_random_inputs():
@@ -119,18 +128,19 @@ def test_assemble_B_matches_block_loop():
     for _ in range(30):
         N = int(rng.integers(2, 12))
         d = int(rng.integers(2, 5))
+        r = d - 1
         g = _random_graph(rng, N)
-        x = random_configuration(rng, N, d - 1)
-        P = np.eye(d)[None, :, :] - np.einsum("ni,nj->nij", x, x)
+        x = random_configuration(rng, N, r)
+        T = tangent_basis(x)
         align = np.einsum("ij,jd,id->i", g.weight_matrix, x, x)
-        loop = np.zeros((N * d, N * d))
+        loop = np.zeros((N * r, N * r))
         for i in range(N):
-            sl = slice(i * d, (i + 1) * d)
-            loop[sl, sl] = -align[i] * P[i]
+            sl = slice(i * r, (i + 1) * r)
+            loop[sl, sl] = -align[i] * np.eye(r)
         for (i, j), k in zip(g.edges, g.gains):
-            si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
-            loop[si, sj] = k * (P[i] @ P[j])
-            loop[sj, si] = k * (P[j] @ P[i])
+            si, sj = slice(i * r, (i + 1) * r), slice(j * r, (j + 1) * r)
+            loop[si, sj] = k * (T[i].T @ T[j])
+            loop[sj, si] = k * (T[j].T @ T[i])
         B = assemble_B(g, x)
         assert np.max(np.abs(B - loop)) <= 1e-13 * max(1.0, np.max(np.abs(loop)))
         # blocks off the edge set stay exactly zero
@@ -148,12 +158,14 @@ def test_assemble_A_equals_B_plus_frequency_blocks():
         sys = LoheSystem(g, omegas)
         B = assemble_B(g, x)
         A = assemble_A(sys, x)
-        D = _blockdiag(sys.omegas)
+        T = tangent_basis(x)
+        D = _blockdiag(T.mT @ sys.omegas @ T)
         assert np.array_equal(A, B + D)
-        # off-diagonal blocks of A - B cancel to exact zeros
+        # off-diagonal blocks of A - B cancel to exact zeros, diagonal blocks are skew
         diff = A - B
-        assert np.allclose(diff, D, atol=1e-12)
-        assert np.allclose(diff + diff.T, 2 * np.diag(np.diag(diff)), atol=1e-12)
+        assert np.allclose(diff, _blockdiag(np.array([T[i].T @ sys.omegas[i] @ T[i]
+                                                      for i in range(N)])), atol=1e-12)
+        assert np.allclose(diff + diff.T, 0.0, atol=1e-12)
 
 
 def test_assemble_A_zero_frequencies_is_B():
@@ -165,11 +177,17 @@ def test_assemble_A_zero_frequencies_is_B():
 
 
 def test_assemble_A_single_agent_is_omega():
+    # Omega in the agent's tangent basis: on the circle a rotation is neutral,
+    # on S^2 about the agent it turns the tangent plane
     g = CouplingGraph(1, (), ())
     omega = np.array([[[0.0, 0.4], [-0.4, 0.0]]])
-    sys = LoheSystem(g, omega)
-    x = np.array([[0.0, 1.0]])
-    assert np.array_equal(assemble_A(sys, x), omega[0])
+    assert np.array_equal(assemble_A(LoheSystem(g, omega), np.array([[0.0, 1.0]])), [[0.0]])
+    omega = np.array([[[0.0, 0.4, 0.0], [-0.4, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+    x = np.array([[0.0, 0.0, 1.0]])
+    T = tangent_basis(x[0])
+    A = assemble_A(LoheSystem(g, omega), x)
+    assert np.allclose(A, T.T @ omega[0] @ T, atol=1e-15)
+    assert np.allclose(np.sort(eigenvalues(A).imag), [-0.4, 0.4], atol=1e-15)
 
 
 def test_eigenvalues_diagonal_and_skew():
@@ -228,12 +246,12 @@ def test_fd_jacobian_matches_B_at_homogeneous_equilibrium():
     B = assemble_B(g, x)
     J = fd_jacobian(sys, x, h=1e-5)
     nB = np.linalg.norm(B, 2)
-    T = configuration_tangent_basis(x)
+    T = _frame(x)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        u = T @ rng.standard_normal(T.shape[1])
-        u /= np.linalg.norm(u)
-        assert np.linalg.norm((J - B) @ u) <= 1e-5 * nB
+        xi = rng.standard_normal(T.shape[1])
+        xi /= np.linalg.norm(xi)
+        assert np.linalg.norm(J @ T @ xi - T @ B @ xi) <= 1e-5 * nB
 
 
 def test_fd_jacobian_matches_A_at_heterogeneous_equilibrium():
@@ -248,39 +266,49 @@ def test_fd_jacobian_matches_A_at_heterogeneous_equilibrium():
     A = assemble_A(sys, x)
     J = fd_jacobian(sys, x, h=1e-5)
     nA = np.linalg.norm(A, 2)
-    T = configuration_tangent_basis(x)
-    # norm conservation forces the extension's Jacobian output to be
-    # tangent at an equilibrium, while A keeps the normal action of the
-    # Omega_i; the operators agree in tangent coordinates
-    Jt = T.T @ J @ T
-    At = T.T @ A @ T
-    assert np.linalg.norm(Jt - At, 2) <= 1e-5 * nA
-    for _ in range(20):
-        u = T @ rng.standard_normal(T.shape[1])
-        u /= np.linalg.norm(u)
-        diff = (J - A) @ u
-        assert np.linalg.norm(T.T @ diff) <= 1e-5 * nA
-        # and the full-space residual is exactly the normal leak <Omega x, u>
-        leak = np.array(
-            [x[i] * float((sys.omegas[i] @ x[i]) @ u.reshape(3, 3)[i]) for i in range(3)]
-        )
-        assert np.linalg.norm(diff - leak.reshape(-1)) <= 1e-5 * nA
+    T = _frame(x)
+    assert np.linalg.norm(T.T @ J @ T - A, 2) <= 1e-5 * nA
+    # norm conservation and F = 0 make the extension's Jacobian map tangent
+    # directions to tangent directions, so T A is the whole of J T there
+    assert np.linalg.norm(J @ T - T @ A, 2) <= 1e-5 * nA
 
 
-def test_field_jacobian_matches_fd_on_tangent_directions():
-    # random heterogeneous configurations, far from any equilibrium: the
-    # normal blocks x_i S_i^T are what A alone misses there
+def _newton_systems(mp):
+    # record the matrix and right-hand side of every least-squares solve
+    calls, lstsq = [], np.linalg.lstsq
+
+    def spy(J, rhs, **kwargs):
+        calls.append((J, rhs))
+        return lstsq(J, rhs, **kwargs)
+
+    mp.setattr(np.linalg, "lstsq", spy)
+    return calls
+
+
+def test_newton_system_matches_fd_on_tangent_directions(monkeypatch):
+    # random heterogeneous configurations, far from any equilibrium: Newton's
+    # matrix is the extension's Jacobian on tangent directions, rows in each
+    # agent's frame [T_i, x_i]; the normal rows -F_i^T T_i are what M alone misses
     rng = np.random.default_rng(31)
     for _ in range(8):
         N = int(rng.integers(2, 7))
         n = int(rng.integers(1, 4))
-        sys = LoheSystem(_random_graph(rng, N), random_frequencies(rng, N, n, total_norm=0.8))
+        g = _random_graph(rng, N)
+        sys = LoheSystem(g, random_frequencies(rng, N, n, total_norm=0.8))
         x = random_configuration(rng, N, n)
-        T = configuration_tangent_basis(x)
-        nA = np.linalg.norm(assemble_A(sys, x), 2)
-        fd = fd_jacobian(sys, x, h=1e-5) @ T
-        assert np.linalg.norm(fd - field_jacobian(sys, x) @ T, 2) <= 1e-5 * nA
-        assert np.linalg.norm(fd - assemble_A(sys, x) @ T, 2) > 1e-3 * nA
+        with monkeypatch.context() as mp:
+            calls = _newton_systems(mp)
+            find_equilibrium(sys, x, tol=0.0, max_time=0.0)
+        J, rhs = calls[0]
+        T = _frame(x)
+        rows = np.vstack((T.T, _blockdiag(x[:, None, :])))  # [T^T; X^T]
+        fd = rows @ fd_jacobian(sys, x, h=1e-5) @ T
+        M = assemble_A(sys, x)
+        nM = np.linalg.norm(M, 2)
+        nA = np.linalg.norm(_ambient_B(g, x) + _blockdiag(sys.omegas), 2)
+        assert np.linalg.norm(fd - J, 2) <= 1e-5 * nM
+        assert np.linalg.norm(rhs + rows @ hetero_rhs(sys, x).ravel()) <= 1e-14
+        assert np.linalg.norm(fd - np.vstack((M, np.zeros((N, M.shape[1])))), 2) > 1e-3 * nA
 
 
 def test_fd_jacobian_single_rotating_agent():
@@ -293,10 +321,11 @@ def test_fd_jacobian_single_rotating_agent():
 
 
 def test_normal_directions_in_kernel_of_B():
-    rng = np.random.default_rng(7)
+    # in R^(N d) each x_i is an exact kernel vector of B: the N normal zeros
+    # that linearize merges into the tangent spectrum
     for N, q, n in ((6, 1, 2), (5, 1, 3), (8, 3, 1)):
         x = twisted_state(N, q, n)
-        B = assemble_B(cycle_graph(N, gain=1.0), x)
+        B = _ambient_B(cycle_graph(N, gain=1.0), x)
         nB = np.linalg.norm(B, 2)
         for i in range(N):
             vec = np.zeros(N * (n + 1))
@@ -305,7 +334,7 @@ def test_normal_directions_in_kernel_of_B():
 
 
 def test_rotation_orbit_directions_in_kernel_at_equilibria():
-    # equivariance: at an equilibrium the stacked vector (S x_i)_i is
+    # equivariance: at an equilibrium the tangent vector (S x_i)_i is
     # neutral for the linearization, for any skew S
     rng = np.random.default_rng(10)
     for N, q, n in ((6, 1, 2), (4, 1, 2), (5, 2, 1)):
@@ -314,7 +343,7 @@ def test_rotation_orbit_directions_in_kernel_at_equilibria():
         nB = np.linalg.norm(B, 2)
         for _ in range(5):
             S = random_frequencies(rng, 1, n, 1.0)[0]
-            vec = (x @ S.T).reshape(-1)
+            vec = _frame(x).T @ (x @ S.T).reshape(-1)
             if np.linalg.norm(vec) < 1e-12:
                 continue
             vec /= np.linalg.norm(vec)
@@ -325,11 +354,11 @@ def test_tangent_restriction_bounded_by_full_top_eigenvalue():
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = random_configuration(rng, 5, 2)
-        B = assemble_B(complete_graph(5, gain=1.0), x)
-        T = configuration_tangent_basis(x)
+        g = complete_graph(5, gain=1.0)
+        T = _frame(x)
         assert np.allclose(T.T @ T, np.eye(T.shape[1]), atol=1e-13)
-        restricted = symmetric_top_eigenvalue(_tangent_restricted(B, x))
-        assert restricted <= symmetric_top_eigenvalue(B) + 1e-12
+        restricted = symmetric_top_eigenvalue(assemble_B(g, x))
+        assert restricted <= symmetric_top_eigenvalue(_ambient_B(g, x)) + 1e-12
 
 
 def test_kahan_bound_zero_perturbation():
@@ -413,7 +442,7 @@ def test_linearize_homogeneous_uses_only_the_symmetric_solve(monkeypatch):
         mp.setattr(np.linalg, "eigvals", _refuse)
         reps = [linearize(LoheSystem(g, zero_frequencies(g.n_nodes, n)), x) for g, n, x in cases]
     for (g, n, x), rep in zip(cases, reps):
-        dense = eigenvalues(assemble_A(LoheSystem(g, zero_frequencies(g.n_nodes, n)), x))
+        dense = np.linalg.eigvalsh(_ambient_B(g, x))[::-1]
         assert np.max(np.abs(rep.spectrum_A - dense)) <= 1e-12
         assert np.all(rep.spectrum_A.imag == 0.0)
         assert np.all(np.diff(rep.spectrum_A.real) <= 0.0)
@@ -422,17 +451,35 @@ def test_linearize_homogeneous_uses_only_the_symmetric_solve(monkeypatch):
         assert rep.omega_norm == 0.0
 
 
-def test_linearize_heterogeneous_is_the_dense_path():
-    rng = np.random.default_rng(2027)
-    for g, n, x in _linearize_cases():
-        sys = LoheSystem(g, random_frequencies(rng, g.n_nodes, n, total_norm=0.4))
+def _drifted_equilibria():
+    # equilibria of complete graphs under drift, refined from random starts
+    for N, drift in ((7, 0.1), (5, 0.05)):
+        for s in range(12):
+            rng = np.random.default_rng([s, 26])
+            sys = LoheSystem(complete_graph(N, gain=1.0), random_frequencies(rng, N, 2, drift))
+            eq = find_equilibrium(sys, random_configuration(rng, N, 2), tol=1e-12, max_time=10.0)
+            assert eq.converged
+            yield sys, eq.config
+
+
+def test_linearize_drifted_spectrum_is_the_fd_spectrum():
+    # at an equilibrium the extension's Jacobian is M on the tangent spaces and
+    # zero on the normal directions, so its spectrum is that of M plus N zeros;
+    # an ambient A with the Omega_i blocks whole misses it by about 1e-2 here
+    for sys, x in _drifted_equilibria():
         rep = linearize(sys, x)
-        spec = eigenvalues(assemble_A(sys, x))
-        beta = float(_symmetric_spectrum(g, x)[-1])
-        assert np.array_equal(rep.spectrum_A, spec)
+        fd = np.linalg.eigvals(fd_jacobian(sys, x, h=1e-6))
+        assert len(rep.spectrum_A) == len(fd)
+        assert max(np.min(np.abs(fd - v)) for v in rep.spectrum_A) <= 1e-6
+        abscissa = float(np.max(fd.real))
+        if abs(abscissa) > 1e-7:
+            assert (rep.alpha_re > 0) == (abscissa > 0)
+        assert np.all(np.diff(rep.spectrum_A.real) <= 0.0)
+        assert np.count_nonzero(rep.spectrum_A == 0.0) >= sys.n_agents
+        beta = float(_symmetric_spectrum(sys.graph, x)[-1])
         assert rep.beta == beta
-        assert rep.alpha_re == float(spec[0].real)
-        assert rep.kahan_gap == abs(beta - float(spec[0].real))
+        assert rep.alpha_re == float(rep.spectrum_A[0].real) >= 0.0
+        assert rep.kahan_gap == abs(beta - rep.alpha_re) <= rep.omega_norm
 
 
 def _oracle_cases():
@@ -445,24 +492,61 @@ def _oracle_cases():
         yield _random_graph(rng, N), n, random_configuration(rng, N, n)
 
 
-def test_assemble_B_tangent_is_the_tangent_restriction_of_B():
+def test_assemble_B_is_the_tangent_restriction_of_the_ambient_B():
     for g, n, x in _oracle_cases():
-        BT = assemble_B_tangent(g, x)
-        assert BT.shape == (g.n_nodes * n, g.n_nodes * n)
-        assert np.max(np.abs(BT - _tangent_restricted(assemble_B(g, x), x))) <= 1e-13
-
-
-def test_linearize_homogeneous_spectrum_is_the_dense_spectrum_of_B(monkeypatch):
-    # the tangent spectrum plus N normal zeros, without forming the N d-square B
-    cases = list(_oracle_cases())
-    with monkeypatch.context() as mp:
-        mp.setattr("lohesphere.spectral.assemble_B", _refuse)
-        reps = [linearize(LoheSystem(g, zero_frequencies(g.n_nodes, n)), x) for g, n, x in cases]
-    for (g, n, x), rep in zip(cases, reps):
         B = assemble_B(g, x)
+        assert B.shape == (g.n_nodes * n, g.n_nodes * n)
+        T = _frame(x)
+        assert np.max(np.abs(B - T.T @ _ambient_B(g, x) @ T)) <= 1e-13
+
+
+def test_linearize_homogeneous_spectrum_is_the_dense_spectrum_of_B():
+    # the tangent spectrum plus N normal zeros
+    for g, n, x in _oracle_cases():
+        rep = linearize(LoheSystem(g, zero_frequencies(g.n_nodes, n)), x)
+        B = _ambient_B(g, x)
         scale = max(1.0, np.linalg.norm(B, 2))
         assert np.max(np.abs(rep.spectrum_A - np.linalg.eigvalsh(B)[::-1])) <= 1e-12 * scale
         assert np.count_nonzero(rep.spectrum_A == 0.0) >= g.n_nodes
+
+
+def _formed_shapes(mp):
+    # shapes of the arrays np.zeros and np.vstack return, and of the matrix
+    # handed to every dense solve
+    shapes = {}
+
+    def record(module, name, of_result):
+        f = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            out = f(*args, **kwargs)
+            shapes.setdefault(name, []).append(np.shape(out if of_result else args[0]))
+            return out
+
+        mp.setattr(module, name, spy)
+
+    for name in ("zeros", "vstack"):
+        record(np, name, True)
+    for name in ("eigvals", "eigvalsh", "lstsq"):
+        record(np.linalg, name, False)
+    return shapes
+
+
+def test_drifted_linearize_and_newton_solve_only_tangent_sized_systems(monkeypatch):
+    rng = np.random.default_rng(2039)
+    for g, n, x in _oracle_cases():
+        N, d = g.n_nodes, n + 1
+        sys = LoheSystem(g, random_frequencies(rng, N, n, total_norm=0.4))
+        start = x + 1e-3 * rng.standard_normal(x.shape)
+        with monkeypatch.context() as mp:
+            shapes = _formed_shapes(mp)
+            rep = linearize(sys, x)
+            assert shapes["eigvals"] == [(N * n, N * n)]
+            find_equilibrium(sys, start, tol=0.0, max_time=0.0)
+        assert len(rep.spectrum_A) == N * d
+        assert len(shapes["lstsq"]) >= 1
+        assert set(shapes["lstsq"]) == {(N * d, N * n)}
+        assert all((N * d, N * d) not in found for found in shapes.values())
 
 
 @pytest.mark.parametrize("total_norm", [0.0, 0.5])
@@ -536,7 +620,7 @@ def test_symmetric_spectrum_split_is_the_dense_spectrum_of_B(monkeypatch):
         N = g.n_nodes
         k = np.linalg.matrix_rank(x)
         assert k < n + 1
-        B = assemble_B(g, x)
+        B = _ambient_B(g, x)
         dense = np.linalg.eigvalsh(B)
         scale = max(1.0, np.linalg.norm(B, 2))
         with monkeypatch.context() as mp:
@@ -583,12 +667,12 @@ def test_symmetric_spectrum_takes_the_full_rank_path_just_above_the_rank_toleran
             sizes = _solved_sizes(mp)
             spec = _symmetric_spectrum(g, x)
         assert sizes == _dense_sizes(N, 3 if full_rank else 2, 3)
-        B = assemble_B(g, x)
+        B = _ambient_B(g, x)
         nB = max(1.0, np.linalg.norm(B, 2))
         assert np.max(np.abs(spec - np.linalg.eigvalsh(B))) <= 1e-12 * nB
     # at full rank the split is the tangent solve itself, bit for bit
     x = random_configuration(np.random.default_rng(2034), N, 2)
-    tangent = np.linalg.eigvalsh(assemble_B_tangent(g, x))
+    tangent = np.linalg.eigvalsh(assemble_B(g, x))
     assert np.array_equal(_symmetric_spectrum(g, x),
                           np.sort(np.concatenate((tangent, np.zeros(N)))))
 
@@ -648,7 +732,7 @@ def test_cyclic_spectrum_is_the_dense_spectrum_of_B(monkeypatch):
     for g, n, x in _cyclic_cases():
         N = g.n_nodes
         k = np.linalg.matrix_rank(x)
-        B = assemble_B(g, x)
+        B = _ambient_B(g, x)
         dense = np.linalg.eigvalsh(B)
         scale = max(1.0, np.linalg.norm(B, 2))
         with monkeypatch.context() as mp:
@@ -676,7 +760,7 @@ def test_inputs_without_cyclic_symmetry_take_the_dense_path(monkeypatch):
              (cycle_graph(N, gain=1.0), moved), (cycle_graph(N, gain=1.0), scattered))
     for g, x in cases:
         x = x @ np.linalg.qr(rng.standard_normal((3, 3)))[0].T
-        B = assemble_B(g, x)
+        B = _ambient_B(g, x)
         with monkeypatch.context() as mp:
             sizes = _solved_sizes(mp)
             spec = _symmetric_spectrum(g, x)
