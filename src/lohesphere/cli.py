@@ -233,9 +233,9 @@ def _require_size(graph: dict, n: int) -> None:
         "path": N - 1, "cycle": N, "complete": N * (N - 1) // 2}[graph["type"]]
     if edges > MAX_ITEMS:
         raise ConfigError(f"graph has {edges} edges, more than {MAX_ITEMS}")
-    for what, size in (("weight matrix", N * N), ("frequency array", N * (n + 1) ** 2)):
-        if size > MAX_DENSE_ELEMENTS:
-            raise ConfigError(f"the {what} has {size} entries, more than {MAX_DENSE_ELEMENTS}")
+    size = N * (n + 1) ** 2
+    if size > MAX_DENSE_ELEMENTS:
+        raise ConfigError(f"the frequency array has {size} entries, more than {MAX_DENSE_ELEMENTS}")
 
 
 def validate_config(raw: dict) -> ExperimentConfig:

@@ -88,19 +88,11 @@ def _check_state(system: LoheSystem, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _neighbor_sum(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
-    """S_i = sum_j k_ij x_j for every agent, summed over the edge list.
-
-    Equal to weight_matrix @ x up to the order of additions (bit for bit
-    where a node has at most two neighbors and the gains are 1), without
-    forming the N-square matrix. One-shot evaluations use it; the RK4
-    kernel keeps the dense product.
-    """
-    i, j, k = graph.edge_arrays
-    S = np.zeros_like(x)
-    np.add.at(S, i, k[:, None] * x[j])
-    np.add.at(S, j, k[:, None] * x[i])
-    return S
+def _check_unit_rows(x: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every row of x has norm 1 within 1e-9; NaN rows fail too."""
+    deviation = np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0))
+    if not (deviation <= 1e-9):
+        raise ValueError(f"{what} rows must be unit vectors (within 1e-9)")
 
 
 def _tangent_part(x: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -116,13 +108,13 @@ def _drift(omegas: np.ndarray, x: np.ndarray) -> np.ndarray:
 def homo_rhs(graph: CouplingGraph, z: np.ndarray) -> np.ndarray:
     """Homogeneous field: the coupling term alone, tangent at each z_i."""
     z = _check_config(graph, z)
-    return _tangent_part(z, _neighbor_sum(graph, z))
+    return _tangent_part(z, graph.neighbor_sum(z))
 
 
 def hetero_rhs(system: LoheSystem, x: np.ndarray) -> np.ndarray:
     """Full field: per-agent rotation drift plus the coupling term."""
     x = _check_state(system, x)
-    return _drift(system.omegas, x) + _tangent_part(x, _neighbor_sum(system.graph, x))
+    return _drift(system.omegas, x) + _tangent_part(x, system.graph.neighbor_sum(x))
 
 
 def disagreement(graph: CouplingGraph, z: np.ndarray) -> float:
@@ -149,8 +141,7 @@ def disagreement_gradient(graph: CouplingGraph, z: np.ndarray) -> np.ndarray:
     derivatives of V along a tangent vector u at agent i equal
     2 <grad_i V, u>; the factor 2 is the edge double counting in V.
     """
-    z = _check_config(graph, z)
-    return -_tangent_part(z, _neighbor_sum(graph, z))
+    return -homo_rhs(graph, z)
 
 
 def extended_rhs(system: LoheSystem, v: np.ndarray) -> np.ndarray:
@@ -167,18 +158,17 @@ def extended_rhs(system: LoheSystem, v: np.ndarray) -> np.ndarray:
 def extended_field(system: LoheSystem):
     """The extended_rhs field as an unchecked callable v -> dv/dt.
 
-    The weight matrix and the frequency matrices are bound once, and the
-    callable does no shape or dtype check: the caller validates the
-    state once (e.g. by _check_state) before evaluating it in a loop.
+    It does no shape or dtype check: the caller validates the state once
+    (e.g. by _check_state) before evaluating it in a loop.
     """
-    W, om = system.graph.weight_matrix, system.omegas
+    neighbor_sum, om = system.graph.neighbor_sum, system.omegas
 
     def field(v: np.ndarray) -> np.ndarray:
         norms = np.sqrt(np.vecdot(v, v, keepdims=True))
         if norms.min() <= 1e-8:
             raise ValueError("extension undefined near the origin: row norm <= 1e-8")
         u = v / norms
-        return _drift(om, v) + _tangent_part(u, W @ u)
+        return _drift(om, v) + _tangent_part(u, neighbor_sum(u))
 
     return field
 

@@ -19,6 +19,7 @@ from . import hull
 from .dynamics import (
     LoheSystem,
     _check_state,
+    _check_unit_rows,
     disagreement,
     extended_field,
     hetero_rhs,
@@ -157,8 +158,7 @@ def integrate(
     x = _check_state(system, np.array(x0, dtype=float))
     if not np.all(np.isfinite(x)):
         raise IntegrationDiverged(0.0)
-    if np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) > 1e-9:
-        raise ValueError("x0 rows must be unit vectors (within 1e-9)")
+    _check_unit_rows(x, "x0")
     graph = system.graph
     field = extended_field(system)
 
@@ -288,11 +288,8 @@ def find_equilibrium(
     [T_i, x_i], normal rows last. The minimum norm keeps the step off the
     rotations that leave equilibria degenerate.
     The lowest-residual state seen anywhere is kept, so a failed polish
-    cannot lose ground. Residuals and Newton steps sum over the edge list;
-    the RK4 kernel, and with it the graph's dense weight matrix, is built
-    only when the flow runs, so a start refined by Newton alone forms no
-    N-square matrix of gains. A non-finite row or a row of norm <= 1e-8
-    in x0 raises IntegrationDiverged at t = 0; a collapsed agent norm or a
+    cannot lose ground. A non-finite row or a row of norm <= 1e-8 in x0
+    raises IntegrationDiverged at t = 0; a collapsed agent norm or a
     non-finite state in the flow raises it at the failing step's end time.
     """
     x = _check_state(system, np.array(x0, dtype=float))

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import LoheSystem, extended_rhs, frequency_total_norm
-from .dynamics import _check_config, _check_skew, _check_state
+from .dynamics import _check_config, _check_skew, _check_state, _check_unit_rows
 from .geometry import tangent_basis
 from .network import CouplingGraph, _dense_gains
 
@@ -66,9 +66,10 @@ def assemble_B(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
 
     In the tangent bases T_i = tangent_basis(x_i) the diagonal blocks are
     -(sum_j k_ij <x_j, x_i>) I and the block of edge {i, j} is
-    k_ij T_i^T T_j.
+    k_ij T_i^T T_j. Raises ValueError unless every row's norm is 1 within 1e-9.
     """
     x = _check_config(graph, x)
+    _check_unit_rows(x, "configuration")
     N, d = x.shape
     r = d - 1
     i, j, k = graph.edge_arrays
@@ -90,9 +91,9 @@ def assemble_A(system: LoheSystem, x: np.ndarray) -> np.ndarray:
     rows x: the Jacobian of hetero_rhs on the product of spheres.
     """
     x = _check_state(system, x)
+    M = assemble_B(system.graph, x)
     N, d = x.shape
     T = tangent_basis(x)
-    M = assemble_B(system.graph, x)
     nodes = np.arange(N)
     M.reshape(N, d - 1, N, d - 1)[nodes, :, nodes, :] += T.mT @ system.omegas @ T
     return M
@@ -261,10 +262,9 @@ def _symmetric_spectrum(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
     When the graph and y are invariant under the shift i -> i+1 (mod N),
     with y_(i+1) = R y_i (_shift_rotation), both parts come from N small
     Fourier blocks instead (_cyclic_spectrum) and no N-square matrix is
-    formed. Otherwise W - diag(align) is built straight from the edge
-    list, never from the graph's cached weight matrix, and only after the
-    block of y is solved and released: one N-square matrix (and the
-    solver's copy of it) is alive at a time.
+    formed. Otherwise W - diag(align) is built from the edge list only
+    after the block of y is solved and released: one N-square matrix (and
+    the solver's copy of it) is alive at a time.
     """
     N, d = x.shape
     _, s, vt = np.linalg.svd(x, full_matrices=False)
@@ -299,8 +299,7 @@ def linearize(system: LoheSystem, x: np.ndarray) -> LinearizationReport:
     x = _check_state(system, x)
     if not np.all(np.isfinite(x)):
         raise ValueError("configuration has non-finite entries")
-    if np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) > 1e-9:
-        raise ValueError("configuration rows must be unit vectors (within 1e-9)")
+    _check_unit_rows(x, "configuration")
     sym = _symmetric_spectrum(system.graph, x)
     beta = float(sym[-1])
     if np.any(system.omegas):

@@ -298,11 +298,13 @@ def _random_connected_graph(rng, N):
 
 
 def test_fields_match_the_dense_weight_matrix():
-    # the one-shot fields sum over the edge list; the reference sums W @ x
+    # the fields take the graph's neighbour sum, dense on small graphs and segment sums on
+    # large sparse ones; the reference sums W @ x
     rng = np.random.default_rng(2041)
     graphs = [complete_graph(30, 1.7), complete_graph(7, 0.4), path_graph(30, 2.3),
               path_graph(2, 0.6), cycle_graph(30, 1.3), cycle_graph(3, 0.9)]
     graphs += [_random_connected_graph(rng, int(rng.integers(2, 31))) for _ in range(20)]
+    graphs += [path_graph(700, 1.4), cycle_graph(600, 0.8), _random_connected_graph(rng, 500)]
     for g in graphs:
         N = g.n_nodes
         for d in (2, 3, 4):

@@ -563,7 +563,8 @@ def test_find_equilibrium_flow_divergence_is_stamped_with_the_step_time(monkeypa
 
 
 def test_find_equilibrium_builds_no_kernel_when_no_flow_runs(monkeypatch):
-    # residuals and Newton sum over the edge list; only the flow binds the dense W
+    # only the flow builds the RK4 kernel; residuals take the graph's neighbour sum, which
+    # is the dense product on the 12-cycle and segment sums, with no W, on the 600-cycle
     import lohesphere.simulate
 
     def refuse(system):
@@ -571,10 +572,12 @@ def test_find_equilibrium_builds_no_kernel_when_no_flow_runs(monkeypatch):
 
     monkeypatch.setattr(lohesphere.simulate, "extended_field", refuse)
     for max_time in (0.0, 200.0):  # an exact start is within 10 * tol, so no flow runs
-        g = cycle_graph(12, gain=1.0)
-        res = find_equilibrium(_homo(g), twisted_state(12, 1, 2), tol=1e-10, max_time=max_time)
-        assert res.converged
-        assert "weight_matrix" not in g.__dict__
+        for N in (12, 600):
+            g = cycle_graph(N, gain=1.0)
+            res = find_equilibrium(_homo(g), twisted_state(N, 1, 2), tol=1e-10,
+                                   max_time=max_time)
+            assert res.converged
+            assert ("weight_matrix" in g.__dict__) is (N == 12)
 
 
 def test_find_equilibrium_converges_from_twisted_start_under_drift():

@@ -123,6 +123,20 @@ def test_assemble_B_dimension_mismatch():
         assemble_B(path_graph(3, gain=1.0), np.eye(2))
 
 
+def test_assemblers_reject_rows_off_the_sphere():
+    g = complete_graph(4, gain=1.0)
+    x = random_configuration(np.random.default_rng(43), 4, 2)
+    system = LoheSystem(g, random_frequencies(np.random.default_rng(44), 4, 2, 0.3))
+    nan_row = x.copy()
+    nan_row[2] = np.nan
+    for bad in (2.0 * x, nan_row):
+        with pytest.raises(ValueError, match="unit vectors"):
+            assemble_B(g, bad)
+        with pytest.raises(ValueError, match="unit vectors"):
+            assemble_A(system, bad)
+    assert np.array_equal(assemble_A(system, x)[:2, 2:], assemble_B(g, x)[:2, 2:])
+
+
 def test_assemble_B_matches_block_loop():
     rng = np.random.default_rng(41)
     for _ in range(30):
