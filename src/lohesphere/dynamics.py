@@ -14,6 +14,7 @@ function V(z) = (1/2) sum_i sum_{j ~ i} k_ij |z_i - z_j|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +22,9 @@ from .network import CouplingGraph
 
 # Tolerance for accepting a frequency matrix as skew-symmetric.
 SKEW_TOL = 1e-10
+# Largest N*d at which the field applies drift and coupling as one dense block product;
+# fitted to timings at d = 3 on a 2-core x86 VM
+BLOCK_MAX = 128
 
 
 def _check_skew(M: np.ndarray, what: str) -> None:
@@ -152,23 +156,55 @@ def extended_rhs(system: LoheSystem, v: np.ndarray) -> np.ndarray:
     and row norms are conserved along exact flows. Raises ValueError when
     a row norm is <= 1e-8, where the extension is undefined.
     """
-    return extended_field(system)(_check_config(system.graph, v))
+    v = _check_state(system, v)
+    norms = np.sqrt(np.vecdot(v, v, keepdims=True))
+    if norms.min() <= 1e-8:
+        raise ValueError("extension undefined near the origin: row norm <= 1e-8")
+    # C-contiguous buffers: the block product writes through a flat view of out
+    uy, out = np.stack((v / norms, v)), np.empty(v.shape)
+    _bind_field(_field_terms(system), uy, out, np.empty(v.shape))()
+    return out
 
 
-def extended_field(system: LoheSystem):
-    """The extended_rhs field as an unchecked callable v -> dv/dt.
+def _field_terms(system: LoheSystem):
+    """The drift-plus-coupling part of the extended field, as bind(uy, E): a zero-argument
+    callable that stores E_i = Omega_i y_i + sum_j k_ij u_j in E, read from uy = [u, y],
+    one C-contiguous (2, N, d) array.
 
-    It does no shape or dtype check: the caller validates the state once
-    (e.g. by _check_state) before evaluating it in a loop.
+    Up to N d = BLOCK_MAX it is one product with the block operator
+    [W (x) I_d | blockdiag(Omega_i)]; above, the batched drift plus graph.neighbor_sum.
     """
-    neighbor_sum, om = system.graph.neighbor_sum, system.omegas
+    om, graph = system.omegas, system.graph
+    N, d = om.shape[:2]
+    if N * d > BLOCK_MAX:
+        neighbor_sum = graph.neighbor_sum
 
-    def field(v: np.ndarray) -> np.ndarray:
-        norms = np.sqrt(np.vecdot(v, v, keepdims=True))
-        if norms.min() <= 1e-8:
-            raise ValueError("extension undefined near the origin: row norm <= 1e-8")
-        u = v / norms
-        return _drift(om, v) + _tangent_part(u, neighbor_sum(u))
+        def bind(uy, E):
+            u, y = uy
+            return lambda: np.add(neighbor_sum(u), _drift(om, y), out=E)
+
+        return bind
+    op = np.zeros((N, d, 2, N, d))
+    op[:, :, 0] = np.einsum("ij,ab->iajb", graph.weight_matrix, np.eye(d))
+    op[np.arange(N), :, 1, np.arange(N)] = om
+    op = op.reshape(N * d, 2 * N * d)
+    return lambda uy, E: partial(np.dot, op, uy.reshape(-1), out=E.reshape(-1))
+
+
+def _bind_field(terms, uy: np.ndarray, out: np.ndarray, normal: np.ndarray):
+    """A zero-argument callable that stores in out the extended field at y, whose rows
+    normalize to u, read from uy = [u, y]; terms is _field_terms(system), and normal is
+    scratch of out's shape.
+
+    The projection takes <u_i, E_i> in place of <u_i, S_i>: the two agree in exact
+    arithmetic, since u_i is parallel to y_i and Omega_i is skew.
+    """
+    add_terms, u = terms(uy, out), uy[0]
+
+    def field():
+        add_terms()
+        np.multiply(u, np.vecdot(u, out, keepdims=True), out=normal)
+        np.subtract(out, normal, out=out)
 
     return field
 

@@ -64,15 +64,18 @@ def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e
     ----------
     points : (N, d) array, N >= 1
     max_iter : cap on major iterations
-    tol : optimality slack, relative to max(1, |p|^2)
+    tol : optimality slack, relative to max(1, |p|^2, max_i |x_i|^2)
 
     Returns
     -------
     (p, iterations) : the optimal point and the major iteration count.
 
-    The optimality certificate is min_i <x_i, p> >= |p|^2 - tol, which
-    for p = 0 is exact membership of the origin. A returned p that fails
-    it, at max_iter or when the solve stalls, comes with a RuntimeWarning.
+    The optimality certificate is min_i <x_i, p> >= |p|^2 - tol * scale with
+    scale = max(1, |p|^2, max_i |x_i|^2), which for p = 0 is exact
+    membership of the origin. Rounding in <x_i, p> grows with |x_i| |p|, so
+    the slack follows the points: scaling points of norm >= 1 by a power of
+    2 scales p by it. A returned p that fails the certificate, at max_iter
+    or when the solve stalls, comes with a RuntimeWarning.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -80,7 +83,8 @@ def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e
     if not np.all(np.isfinite(X)):
         raise ValueError("points must be finite")
 
-    start = int(np.argmin(np.einsum("nd,nd->n", X, X)))
+    sq = np.einsum("nd,nd->n", X, X)
+    start, x_scale = int(np.argmin(sq)), max(1.0, float(sq.max()))
     support = [start]
     weights = np.array([1.0])
     p = X[start].copy()
@@ -90,7 +94,7 @@ def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e
         scores = X @ p
         s = int(np.argmin(scores))
         pp = float(p @ p)
-        if scores[s] >= pp - tol * max(1.0, pp):
+        if scores[s] >= pp - tol * max(x_scale, pp):
             break
         if s in support:
             # p already affine-optimal over its support, no progress possible
@@ -121,7 +125,7 @@ def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e
             weights = weights / weights.sum()
 
     pp = float(p @ p)
-    if float(np.min(X @ p)) < pp - tol * max(1.0, pp):
+    if float(np.min(X @ p)) < pp - tol * max(x_scale, pp):
         warnings.warn(f"min_norm_point stopped after {iterations} iterations "
                       f"(max_iter={max_iter}) at a point that fails its optimality "
                       "certificate", RuntimeWarning, stacklevel=2)

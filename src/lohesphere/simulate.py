@@ -9,7 +9,6 @@ drift is recorded per sample as a health check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +19,9 @@ from .dynamics import (
     LoheSystem,
     _check_state,
     _check_unit_rows,
+    _bind_field,
+    _field_terms,
     disagreement,
-    extended_field,
     hetero_rhs,
     kuramoto_rhs,
 )
@@ -92,34 +92,90 @@ class Trajectory:
         }
 
 
-def _rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of size h for dx/dt = f(x)."""
-    k1 = f(x)
-    k2 = f(x + (h / 2.0) * k1)
-    k3 = f(x + (h / 2.0) * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_tableau(h: float) -> np.ndarray:
+    """Rows that take the stack [x, k1, k2, k3, k4] to the inputs of RK4 stages 2-4, then
+    to the step's end x + h/6 (k1 + 2 k2 + 2 k3 + k4)."""
+    return np.array([[1.0, h / 2.0, 0.0, 0.0, 0.0],
+                     [1.0, 0.0, h / 2.0, 0.0, 0.0],
+                     [1.0, 0.0, 0.0, h, 0.0],
+                     [1.0, h / 6.0, h / 3.0, h / 3.0, h / 6.0]])
 
 
-def _sphere_step(f, x: np.ndarray, h: float, t: float):
-    """RK4 step on the ambient extension f, then renormalize every agent.
+def _rk4_step(stages, stack: np.ndarray, rows, y: np.ndarray) -> np.ndarray:
+    """One classical RK4 step on the (5, n) stack [x, k1, k2, k3, k4].
 
-    Returns the renormalized state and the largest row-norm deviation
-    before renormalization. Raises IntegrationDiverged, stamped with t,
-    when the state turns non-finite or a row norm collapses, in a stage
-    or at the end of the step.
+    stages[s - 1]() must store k_s = f(input) in stack[s]. Stage 1's input is stack[0];
+    the input of stage s = 2, 3, 4 is the buffer y, filled with rows[s - 2] @ stack.
+    y ends holding rows[3] @ stack, the step's end, and is returned.
     """
-    try:
-        xt = _rk4_step(f, x, h)
-    except ValueError:  # the field's row-norm guard tripped in a stage
-        raise IntegrationDiverged(t, "agent norm collapsed") from None
-    norms = np.sqrt(np.vecdot(xt, xt))
-    deviation = np.abs(norms - 1.0).max()
-    if not deviation < math.inf:  # also catches NaN
-        raise IntegrationDiverged(t)
-    if norms.min() <= 1e-8:
-        raise IntegrationDiverged(t, "agent norm collapsed")
-    return xt / norms[:, None], float(deviation)
+    stages[0]()
+    for s in (1, 2, 3):
+        np.dot(rows[s - 1], stack, out=y)
+        stages[s]()
+    return np.dot(rows[3], stack, out=y)
+
+
+class _SphereRK4:
+    """RK4 on the ambient extension of the field, renormalizing every agent after each step.
+
+    Every buffer is allocated once: the work array holds [u1, x, k1, k2, k3, k4, u, y].
+    Stage 1 couples through u1, the unit rows of the step's start x; stages 2-4 normalize
+    their input y into u. The start x0 need not have unit rows: the drift and the base
+    point use x0 and the first coupling x0 / |x0|.
+    """
+
+    def __init__(self, system: LoheSystem, x0: np.ndarray):
+        N, d = x0.shape
+        work = np.zeros((8, N, d))
+        work[1] = x0
+        work[0] = x0 / np.sqrt(np.vecdot(x0, x0, keepdims=True))
+        self._u1, self._x, u, y = work[0], work[1], work[6], work[7]
+        self._y = y
+        self._stack, self._y_flat = work[1:6].reshape(5, N * d), work[7].reshape(N * d)
+        # row norms of the inputs of stages 2-4, then of the step's end
+        self._norms = np.empty((4, N, 1))
+        terms, normal = _field_terms(system), np.empty((N, d))
+
+        def normalizing(field, norms):
+            def stage():
+                np.sqrt(np.vecdot(y, y, keepdims=True), out=norms)
+                np.divide(y, norms, out=u)
+                field()
+
+            return stage
+
+        self._stages = (_bind_field(terms, work[0:2], work[2], normal),) + tuple(
+            normalizing(_bind_field(terms, work[6:8], work[s + 1], normal), self._norms[s - 2])
+            for s in (2, 3, 4))
+        self._h, self._rows = None, None
+
+    @property
+    def x(self) -> np.ndarray:
+        """A copy of the current state."""
+        return self._x.copy()
+
+    def step(self, h: float, t: float) -> float:
+        """Advance by h and return the largest row-norm deviation before renormalization.
+
+        Raises IntegrationDiverged stamped with t: "agent norm collapsed" when a row of
+        the input of stages 2-4 or of the step's end has norm <= 1e-8, else the default
+        detail when the step's end is not finite.
+        """
+        if h != self._h:
+            self._h, self._rows = h, tuple(_rk4_tableau(h))
+        _rk4_step(self._stages, self._stack, self._rows, self._y_flat)
+        xt, norms = self._y, self._norms
+        end = norms[3]
+        np.sqrt(np.vecdot(xt, xt, keepdims=True), out=end)
+        if np.fmin.reduce(norms, axis=None) <= 1e-8:  # fmin passes over NaN
+            raise IntegrationDiverged(t, "agent norm collapsed")
+        hi = float(np.maximum.reduce(end, axis=None))
+        if not hi < math.inf:  # also catches NaN
+            raise IntegrationDiverged(t)
+        lo = float(np.minimum.reduce(end, axis=None))
+        np.divide(xt, end, out=self._x)
+        np.copyto(self._u1, self._x)
+        return max(hi - 1.0, 1.0 - lo)
 
 
 def _edge_angles(graph: CouplingGraph, x: np.ndarray):
@@ -145,9 +201,8 @@ def integrate(
     sample records the exact cap radius (sync_radius).
     x0 must hold unit rows to within 1e-9 (ValueError otherwise; a
     non-finite x0 raises IntegrationDiverged at t = 0) and is recorded
-    as given. It is checked against the system once; the steps then run the
-    unchecked extended_field kernel. Equal inputs give bit-identical
-    trajectories.
+    as given. It is checked against the system once; the steps then run one
+    _SphereRK4 kernel. Equal inputs give bit-identical trajectories.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -160,7 +215,7 @@ def integrate(
         raise IntegrationDiverged(0.0)
     _check_unit_rows(x, "x0")
     graph = system.graph
-    field = extended_field(system)
+    kernel = _SphereRK4(system, x)
 
     n_steps = int(math.ceil(t_end / dt - 1e-12))
     times, states, vs, radii, mins, maxs, drifts = [], [], [], [], [], [], []
@@ -177,15 +232,15 @@ def integrate(
 
     record(0.0, 0.0)
     drift_acc = 0.0
-    # a diverging step may overflow on its way to the non-finite state that
-    # _sphere_step raises IntegrationDiverged for; that error alone reports it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a diverging step may overflow or divide by a collapsed norm on its way to the
+    # state that the kernel raises IntegrationDiverged for; that error alone reports it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(1, n_steps + 1):
             h = dt if step < n_steps else (t_end - dt * (n_steps - 1))
             t = t_end if step == n_steps else step * dt
-            x, deviation = _sphere_step(field, x, h, t)
-            drift_acc = max(drift_acc, deviation)
+            drift_acc = max(drift_acc, kernel.step(h, t))
             if step % sample_every == 0 or step == n_steps:
+                x = kernel.x
                 record(t, drift_acc)
                 drift_acc = 0.0
 
@@ -211,17 +266,24 @@ def integrate_kuramoto(
     """RK4 for the circle phase model; returns (times, angles) arrays."""
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be > 0")
-    th = np.array(theta0, dtype=float)
-    field = functools.partial(kuramoto_rhs, omega, graph)
+    stack = np.zeros((5, len(theta0)))
+    stack[0] = theta0
+    buf = np.empty(len(theta0))
+
+    def stage(k, th):
+        return lambda: np.copyto(k, kuramoto_rhs(omega, graph, th))
+
+    stages = [stage(stack[1], stack[0])] + [stage(stack[s], buf) for s in (2, 3, 4)]
+
     n_steps = int(math.ceil(t_end / dt - 1e-12))
     times = [0.0]
-    out = [th.copy()]
+    out = [stack[0].copy()]
     for step in range(1, n_steps + 1):
         h = dt if step < n_steps else (t_end - dt * (n_steps - 1))
-        th = _rk4_step(field, th, h)
+        stack[0] = _rk4_step(stages, stack, _rk4_tableau(h), buf)
         if step % sample_every == 0 or step == n_steps:
             times.append(t_end if step == n_steps else step * dt)
-            out.append(th.copy())
+            out.append(stack[0].copy())
     return np.array(times), np.array(out)
 
 
@@ -304,13 +366,14 @@ def find_equilibrium(
     best_x, best_res = x, res
     dt, t = 1e-2, 0.0
     if t < max_time and res > 10.0 * tol:
-        field = extended_field(system)
-        with np.errstate(over="ignore", invalid="ignore"):  # as in integrate
+        kernel = _SphereRK4(system, x)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in integrate
             while t < max_time and res > 10.0 * tol:
                 steps = max(1, int(round(min(5.0, max_time - t) / dt)))
                 for k in range(1, steps + 1):
-                    x, _ = _sphere_step(field, x, dt, t + k * dt)
+                    kernel.step(dt, t + k * dt)
                 t += steps * dt
+                x = kernel.x
                 res = _residual(system, x)
                 if res < best_res:
                     best_x, best_res = x, res

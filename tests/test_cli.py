@@ -618,7 +618,7 @@ def test_local_certificate_builds_no_kernel_and_no_weight_matrix(monkeypatch, fr
     def refuse(*args):
         raise AssertionError("a dense kernel or weight matrix was built")
 
-    monkeypatch.setattr(lohesphere.simulate, "extended_field", refuse)
+    monkeypatch.setattr(lohesphere.simulate, "_SphereRK4", refuse)
     cfg = validate_config({"graph": {"type": "cycle", "N": 6, "k": 1.0}, "n": 2,
                            "init": {"mode": "twisted", "q": 1}, "frequencies": frequencies,
                            "seed": 3})

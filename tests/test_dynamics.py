@@ -186,6 +186,18 @@ def test_extended_rhs_norm_invariance():
     assert np.max(np.abs(np.einsum("nd,nd->n", out, v))) <= 1e-10
 
 
+@pytest.mark.parametrize("N", [4, 60])  # both sides of dynamics.BLOCK_MAX at d = 3
+def test_extended_rhs_ignores_the_memory_layout_of_its_input(N):
+    rng = np.random.default_rng(10)
+    sys = random_system(rng, N, 2)
+    x = random_configuration(rng, N, 2)
+    strided = np.zeros((N, 6))
+    strided[:, ::2] = x
+    expected = extended_rhs(sys, x)
+    for v in (np.asfortranarray(x), strided[:, ::2]):
+        assert np.array_equal(extended_rhs(sys, v), expected)
+
+
 def test_extended_rhs_rejects_origin():
     sys = random_system(np.random.default_rng(9), 3, 2)
     v = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0]])

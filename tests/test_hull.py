@@ -111,6 +111,41 @@ def test_certificate_near_synchrony(family):
         assert iters <= 10
 
 
+def _spread_norm_set(rng):
+    """Points of norms 1 to 1e6, offset so that the origin often lies in the hull."""
+    N, d = int(rng.integers(3, 40)), int(rng.integers(2, 7))
+    X = rng.standard_normal((N, d)) + rng.uniform(-1.5, 1.5, size=d)
+    return X * (10 ** rng.uniform(0, 6, size=(N, 1)) / np.linalg.norm(X, axis=1, keepdims=True))
+
+
+def test_certificate_slack_follows_the_point_norms():
+    # rounding in <x_i, p> grows with |x_i| |p|, past an absolute 1e-12 slack
+    rng = np.random.default_rng(2020)
+    inside = 0
+    for _ in range(600):
+        X = _spread_norm_set(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, _ = min_norm_point(X)
+        pp = float(p @ p)
+        scale = max(1.0, pp, float(np.max(np.einsum("nd,nd->n", X, X))))
+        assert np.min(X @ p) >= pp - 1e-12 * scale
+        inside += bool(np.linalg.norm(p) <= 1e-6 * np.linalg.norm(X, axis=1).max())
+    assert 100 <= inside <= 500  # both sides of the origin test are exercised
+
+
+def test_scaling_the_points_by_a_power_of_two_scales_p():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        X = _spread_norm_set(rng)
+        p, iters = min_norm_point(X)
+        for c in (2.0, 2.0**10, 2.0**300):
+            # the points have norms >= 1, so c X runs the same steps scaled by c
+            cp, c_iters = min_norm_point(c * X)
+            assert np.array_equal(cp, c * p)
+            assert c_iters == iters
+
+
 def test_cohesive_cluster_positive_norm():
     rng = np.random.default_rng(3)
     base = np.array([0.0, 0.0, 1.0])

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from lohesphere import dynamics
 from lohesphere.dynamics import (
     LoheSystem,
     disagreement,
@@ -15,12 +16,19 @@ from lohesphere.dynamics import (
     random_frequencies,
     zero_frequencies,
 )
-from lohesphere.network import complete_graph, cycle_graph, path_graph, CouplingGraph
+from lohesphere.network import (
+    CouplingGraph,
+    complete_graph,
+    cycle_graph,
+    from_edge_list,
+    path_graph,
+)
 from lohesphere.geometry import pairwise_angle
 from lohesphere.simulate import (
     EquilibriumResult,
     IntegrationDiverged,
     Trajectory,
+    _SphereRK4,
     _edge_angles,
     find_equilibrium,
     integrate,
@@ -181,6 +189,87 @@ def test_integrate_matches_reference_rk4_loop(make_graph, n):
     traj = integrate(sys, x0, dt=1e-2, t_end=3.005, sample_every=50)
     ref = _reference_rk4(sys, x0, 1e-2, 3.005)
     assert np.max(np.abs(traj.final_state - ref)) <= 1e-13
+
+
+def _plain_sphere_step(system, x, h):
+    """One plain RK4 step over the public extended_rhs, then renormalization; returns
+    the new state and the largest row-norm deviation before renormalization."""
+    k1 = extended_rhs(system, x)
+    k2 = extended_rhs(system, x + (h / 2) * k1)
+    k3 = extended_rhs(system, x + (h / 2) * k2)
+    k4 = extended_rhs(system, x + h * k3)
+    xt = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    norms = np.linalg.norm(xt, axis=1, keepdims=True)
+    return xt / norms, np.max(np.abs(norms - 1.0))
+
+
+def _gained_graph(rng, N):
+    """A connected graph on N nodes with gains in [0.5, 2]: a path plus random chords."""
+    if N == 1:
+        return CouplingGraph(n_nodes=1, edges=(), gains=())
+    pairs = {(i, i + 1) for i in range(N - 1)}
+    pairs |= {tuple(sorted(p)) for p in rng.integers(0, N, size=(N, 2)).tolist() if p[0] != p[1]}
+    return from_edge_list(N, [(i + 1, j + 1, rng.uniform(0.5, 2.0)) for i, j in sorted(pairs)])
+
+
+@pytest.mark.parametrize("N", [1, 2, 10, 40, 300])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("drift", [0.0, 0.8])
+def test_kernel_step_is_a_plain_rk4_step_over_extended_rhs(N, d, drift):
+    rng = np.random.default_rng([N, d, int(10 * drift)])
+    g = _gained_graph(rng, N)
+    omegas = (random_frequencies(rng, N, d - 1, drift * N) if drift
+              else zero_frequencies(N, d - 1))
+    sys = LoheSystem(g, omegas)
+    x = random_configuration(rng, N, d - 1)
+    kernel = _SphereRK4(sys, x)
+    # the block product reads W; above BLOCK_MAX the kernel calls the graph's neighbour sum
+    assert ("neighbor_sum" in g.__dict__) is (N * d > dynamics.BLOCK_MAX)
+    assert (N * d <= dynamics.BLOCK_MAX) is (N <= 10 or (N == 40 and d < 4))
+    for step, h in enumerate((0.05, 0.05, 0.0125), start=1):
+        ref, ref_deviation = _plain_sphere_step(sys, x, h)
+        deviation = kernel.step(h, step * 0.05)
+        assert np.max(np.abs(kernel.x - ref)) <= 1e-14
+        assert abs(deviation - ref_deviation) <= 1e-14
+        x = ref
+
+
+def test_kernel_first_step_from_a_start_unit_to_within_1e_9():
+    # the drift and the base point use x0 as given, the coupling x0 / |x0|
+    rng = np.random.default_rng(11)
+    sys = LoheSystem(_gained_graph(rng, 6), random_frequencies(rng, 6, 2, 2.0))
+    x0 = random_configuration(rng, 6, 2) * (1.0 + 9e-10 * rng.choice([-1.0, 1.0], size=(6, 1)))
+    ref, _ = _plain_sphere_step(sys, x0, 0.1)
+    traj = integrate(sys, x0, dt=0.1, t_end=0.1, sample_every=1)
+    assert np.array_equal(traj.states[0], x0)
+    assert np.max(np.abs(traj.final_state - ref)) <= 1e-14
+    # the next step couples through the renormalized state
+    kernel = _SphereRK4(sys, x0)
+    kernel.step(0.1, 0.1)
+    kernel.step(0.1, 0.2)
+    assert np.max(np.abs(kernel.x - _plain_sphere_step(sys, ref, 0.1)[0])) <= 1e-14
+
+
+def test_kernel_divergence_messages_carry_the_step_end_time():
+    # a stage input that collapses: agent 1 at 1e-10 e_1 has k1 = 0 (no drift, and its
+    # neighbour pulls it along its own direction), so stage 2 sees a row norm of 1e-10
+    g = path_graph(2, gain=1.0)
+    kernel = _SphereRK4(_homo(g, 1), np.array([[1e-10, 0.0], [1.0, 0.0]]))
+    with pytest.raises(IntegrationDiverged, match="agent norm collapsed") as exc:
+        kernel.step(0.25, 3.25)
+    assert exc.value.time == 3.25
+    # drift past the float range: the step's end is non-finite, and no warning is raised
+    sys = LoheSystem(g, np.array([[[0.0, -1e300], [1e300, 0.0]]] * 2))
+    with pytest.raises(IntegrationDiverged, match="non-finite state") as exc:
+        integrate(sys, np.array([[1.0, 0.0], [0.0, 1.0]]), dt=0.5, t_end=2.0)
+    assert exc.value.time == 0.5
+    # the stage-4 collapse of the command-line test, stamped with that step's end
+    w, dt = 0.6734296154702647, 2.4121854658376325
+    sys = LoheSystem(g, np.array([[[0.0, -w], [w, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]))
+    x0 = np.array([[1.0, 0.0], [0.20663672864359825, 0.9784177340867611]])
+    with pytest.raises(IntegrationDiverged, match="agent norm collapsed") as exc:
+        integrate(sys, x0, dt=dt, t_end=dt, sample_every=1)
+    assert exc.value.time == dt
 
 
 def test_integrate_validates_state_once_not_per_step(monkeypatch):
@@ -535,27 +624,31 @@ def test_find_equilibrium_rejects_bad_start_rows(bad_row):
 
 def test_find_equilibrium_flow_divergence_is_stamped_with_the_step_time(monkeypatch):
     # no equilibrium exists at this budget, so the flow runs past t = 7;
-    # the patched field turns non-finite from the first stage of step 701,
-    # which ends at t = 7.01, inside the second 5-second chunk
+    # the patched kernel's field turns non-finite from the first stage of
+    # step 701, which ends at t = 7.01, inside the second 5-second chunk
     import lohesphere.simulate
 
     g = path_graph(3, gain=1.0)
     rng = np.random.default_rng(0)
     sys = LoheSystem(g, random_frequencies(rng, 3, 1, total_norm=100.0))
     x0 = random_configuration(rng, 3, 1)
-    real_field = lohesphere.simulate.extended_field
     calls = [0]
 
-    def failing_field(system):
-        f = real_field(system)
+    class FailingKernel(lohesphere.simulate._SphereRK4):
+        def __init__(self, system, x0):
+            super().__init__(system, x0)
+            self._stages = tuple(map(self._failing, range(1, 5), self._stages))
 
-        def field(v):
-            calls[0] += 1
-            return f(v) if calls[0] <= 4 * 700 else np.full_like(v, np.nan)
+        def _failing(self, s, stage):
+            def run():
+                calls[0] += 1
+                stage()
+                if calls[0] > 4 * 700:
+                    self._stack[s] = np.nan
 
-        return field
+            return run
 
-    monkeypatch.setattr(lohesphere.simulate, "extended_field", failing_field)
+    monkeypatch.setattr(lohesphere.simulate, "_SphereRK4", FailingKernel)
     with pytest.raises(IntegrationDiverged) as exc:
         find_equilibrium(sys, x0, tol=1e-10, max_time=20.0)
     assert exc.value.time == pytest.approx(7.01, abs=1e-9)
@@ -567,10 +660,10 @@ def test_find_equilibrium_builds_no_kernel_when_no_flow_runs(monkeypatch):
     # is the dense product on the 12-cycle and segment sums, with no W, on the 600-cycle
     import lohesphere.simulate
 
-    def refuse(system):
+    def refuse(system, x0):
         raise AssertionError("the RK4 kernel was built")
 
-    monkeypatch.setattr(lohesphere.simulate, "extended_field", refuse)
+    monkeypatch.setattr(lohesphere.simulate, "_SphereRK4", refuse)
     for max_time in (0.0, 200.0):  # an exact start is within 10 * tol, so no flow runs
         for N in (12, 600):
             g = cycle_graph(N, gain=1.0)
