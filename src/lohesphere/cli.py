@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (LoheSystem, frequency_total_norm, random_configuration, random_frequencies,
-                       zero_frequencies)
+from .dynamics import (LoheSystem, _check_unit_rows, frequency_total_norm, random_configuration,
+                       random_frequencies, zero_frequencies)
 from .network import CouplingGraph, complete_graph, cycle_graph, from_edge_list, min_gain, path_graph
 from .simulate import IntegrationDiverged, find_equilibrium, integrate
 from .stability import is_dispersed, theorem_rhs, twisted_state, verify_theorem
@@ -282,6 +282,13 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> E
     return validate_config(raw)
 
 
+def _require_out_dir(out: str) -> None:
+    """Reject an output prefix whose directory is not an existing, writable directory."""
+    where = os.path.dirname(out) or "."
+    if not (os.path.isdir(where) and os.access(where, os.W_OK)):
+        raise ConfigError(f"out {out!r}: {where!r} is not a writable directory")
+
+
 def build_graph(spec: dict) -> CouplingGraph:
     if spec["type"] == "edges":
         return from_edge_list(spec["N"], spec["edges"])
@@ -323,10 +330,8 @@ def build_init(cfg: ExperimentConfig, graph: CouplingGraph, rng) -> np.ndarray:
         raise ConfigError(
             f"init.points must have shape ({graph.n_nodes}, {cfg.n + 1}), got {pts.shape}"
         )
-    norms = np.linalg.norm(pts, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-9:
-        raise ConfigError("init.points rows must be unit vectors (within 1e-9)")
-    return pts / norms[:, None]
+    _check_unit_rows(pts, "init.points")
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def _build_all(cfg: ExperimentConfig, seed, certify: bool = False):
@@ -575,6 +580,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, seed=args.seed, out=args.out)
+        _require_out_dir(cfg.out)
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg.workers = args.workers

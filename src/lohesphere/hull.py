@@ -28,6 +28,8 @@ from collections import Counter
 import numpy as np
 
 MAX_ITER = 10_000
+# Optimality slack of min_norm_point, relative to max(1, |p|^2, max_i |x_i|^2).
+OPTIMALITY_TOL = 1e-12
 # Weights at or below this are treated as zero when pruning the support.
 WEIGHT_FLOOR = 1e-13
 # Relative slack of "beyond a facet plane", and the smallest singular value
@@ -57,21 +59,20 @@ def _affine_min_norm(A: np.ndarray) -> np.ndarray:
     return lam
 
 
-def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e-12):
+def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER):
     """Minimum-norm point of the convex hull of the rows of points.
 
     Parameters
     ----------
     points : (N, d) array, N >= 1
     max_iter : cap on major iterations
-    tol : optimality slack, relative to max(1, |p|^2, max_i |x_i|^2)
 
     Returns
     -------
     (p, iterations) : the optimal point and the major iteration count.
 
-    The optimality certificate is min_i <x_i, p> >= |p|^2 - tol * scale with
-    scale = max(1, |p|^2, max_i |x_i|^2), which for p = 0 is exact
+    The optimality certificate is min_i <x_i, p> >= |p|^2 - OPTIMALITY_TOL *
+    scale with scale = max(1, |p|^2, max_i |x_i|^2), which for p = 0 is exact
     membership of the origin. Rounding in <x_i, p> grows with |x_i| |p|, so
     the slack follows the points: scaling points of norm >= 1 by a power of
     2 scales p by it. A returned p that fails the certificate, at max_iter
@@ -94,7 +95,7 @@ def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e
         scores = X @ p
         s = int(np.argmin(scores))
         pp = float(p @ p)
-        if scores[s] >= pp - tol * max(x_scale, pp):
+        if scores[s] >= pp - OPTIMALITY_TOL * max(x_scale, pp):
             break
         if s in support:
             # p already affine-optimal over its support, no progress possible
@@ -125,7 +126,7 @@ def min_norm_point(points: np.ndarray, max_iter: int = MAX_ITER, tol: float = 1e
             weights = weights / weights.sum()
 
     pp = float(p @ p)
-    if float(np.min(X @ p)) < pp - tol * max(x_scale, pp):
+    if float(np.min(X @ p)) < pp - OPTIMALITY_TOL * max(x_scale, pp):
         warnings.warn(f"min_norm_point stopped after {iterations} iterations "
                       f"(max_iter={max_iter}) at a point that fails its optimality "
                       "certificate", RuntimeWarning, stacklevel=2)

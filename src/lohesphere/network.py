@@ -73,7 +73,10 @@ class CouplingGraph:
     @cached_property
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric (N, N) matrix of gains, zero off edges; read-only and cached."""
-        W = _dense_gains(self)
+        i, j, k = self.edge_arrays
+        W = np.zeros((self.n_nodes, self.n_nodes))
+        W[i, j] = k
+        W[j, i] = k
         W.setflags(write=False)
         return W
 
@@ -101,15 +104,6 @@ class CouplingGraph:
         for a in (i, j, k):
             a.setflags(write=False)
         return i, j, k
-
-
-def _dense_gains(graph: CouplingGraph) -> np.ndarray:
-    """A new writable dense symmetric (N, N) matrix of gains, zero off edges."""
-    i, j, k = graph.edge_arrays
-    W = np.zeros((graph.n_nodes, graph.n_nodes))
-    W[i, j] = k
-    W[j, i] = k
-    return W
 
 
 def _segment_sum(src: np.ndarray, gains: np.ndarray, starts: np.ndarray, x: np.ndarray):

@@ -18,23 +18,16 @@ direction x_i as an exact zero eigenvector, so linearize reports N exact
 zeros next to the spectrum of M, and beta and the abscissa are never
 below 0.
 
-When the rows span only a k-dimensional subspace U (k < d, numerical
-rank), B also splits along U and its complement: on the complement every
-projector is the identity and B is the graph matrix W - diag(align)
-repeated d - k times, and on U it is B of the same points written in k
-coordinates. A planar configuration, such as every twisted state, then
-costs one (N (k-1))-square and one N-square symmetric solve instead of
-one (N (d-1))-square solve; full-rank configurations take the tangent
-solve unchanged. When the relabelling i -> i+1 (mod N) maps the graph
-and its gains to themselves and the rows satisfy x_(i+1) = R x_i for one
-orthogonal R in those k coordinates, as every twisted state on a cycle,
-complete or circulant graph does, B is block-circulant and its spectrum
+When the relabelling i -> i+1 (mod N) maps the graph and its gains to
+themselves and the rows, in the k coordinates of their span, satisfy
+y_(i+1) = R y_i for one orthogonal R, as every twisted state on a cycle,
+complete or circulant graph does, B is block-circulant: its spectrum
 comes from N (k-1)-square Fourier blocks and a closed form for the graph
-matrix, with no N-square matrix formed. Either way beta differs from an
-eigensolve of B in its last digits. With every Omega_i zero, M is B
-exactly: linearize then reads the whole spectrum off those solves, so it
-is real and the Kahan gap is zero. Only heterogeneous systems pay for the
-dense nonsymmetric solve of M.
+matrix, with no N-square matrix formed, and differs from an eigensolve of
+B in its last digits. Every other input takes one symmetric solve of B.
+With every Omega_i zero, M is B exactly: linearize then reads the whole
+spectrum off B's, so it is real and the Kahan gap is zero. Only
+heterogeneous systems pay for the dense nonsymmetric solve of M.
 """
 
 from __future__ import annotations
@@ -47,7 +40,7 @@ import numpy as np
 from .dynamics import LoheSystem, extended_rhs, frequency_total_norm
 from .dynamics import _check_config, _check_skew, _check_state, _check_unit_rows
 from .geometry import tangent_basis
-from .network import CouplingGraph, _dense_gains
+from .network import CouplingGraph
 
 SYM_TOL = 1e-10
 # y_(i+1) - R y_i within this many times max(N, k) ulps counts as a cyclic symmetry.
@@ -247,54 +240,39 @@ def _cyclic_spectrum(graph: CouplingGraph, y: np.ndarray, R: np.ndarray) -> tupl
 
 
 def _symmetric_spectrum(graph: CouplingGraph, x: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of B plus N normal zeros at unit rows x, split along U.
+    """Ascending spectrum of B plus N normal zeros at unit rows x.
 
-    Written in R^(N d), with the projector P_i = I - x_i x_i^T in place of
-    T_i on both sides of every block, B has these N zeros on the normal
-    directions. With k = rank(x) < d it maps both sum_i U and
-    sum_i U-perp into themselves, U = span(rows of x). On U it is B at
-    y = x Q_k in R^k (Q_k the leading right singular vectors); on U-perp
-    every P_i is the identity, so it is (W - diag(align)) kron I_(d-k).
-    The spectrum is then that of B at y, N zeros, and the graph matrix's
-    repeated d - k times: N-square solves at k = 2. At k = d, y = x and
-    B at x is solved whole.
-
-    When the graph and y are invariant under the shift i -> i+1 (mod N),
-    with y_(i+1) = R y_i (_shift_rotation), both parts come from N small
-    Fourier blocks instead (_cyclic_spectrum) and no N-square matrix is
-    formed. Otherwise W - diag(align) is built from the edge list only
-    after the block of y is solved and released: one N-square matrix (and
-    the solver's copy of it) is alive at a time.
+    Let k = rank(x) and y = x Q_k the rows in the k coordinates of their
+    span (Q_k the leading right singular vectors; y = x at k = d). When the
+    graph and y are invariant under the shift i -> i+1 (mod N) with
+    y_(i+1) = R y_i (_shift_rotation), N small Fourier blocks give the
+    spectrum (_cyclic_spectrum) and no N-square matrix is formed: B splits
+    into B at y on the span and, since every projector is the identity off
+    it, the graph matrix W - diag(align) repeated d - k times. Every other
+    input takes one symmetric solve of B at x.
     """
     N, d = x.shape
     _, s, vt = np.linalg.svd(x, full_matrices=False)
     k = int(np.count_nonzero(s > s[0] * max(N, d) * np.finfo(float).eps))  # matrix_rank
     y = x if k == d else x @ vt[:k].T
     R = _shift_rotation(graph, y)
-    if R is not None:
-        tangent, circulant = _cyclic_spectrum(graph, y, R)
-        parts = [tangent, np.tile(circulant, d - k)]
-    else:
-        parts = [np.linalg.eigvalsh(assemble_B(graph, y))]
-        if k < d:
-            G = _dense_gains(graph)
-            G.flat[:: N + 1] -= _align(graph, x)
-            parts.append(np.tile(np.linalg.eigvalsh(G), d - k))
-    return np.sort(np.concatenate((*parts, np.zeros(N))))
+    if R is None:
+        return np.sort(np.concatenate((np.linalg.eigvalsh(assemble_B(graph, x)), np.zeros(N))))
+    tangent, circulant = _cyclic_spectrum(graph, y, R)
+    return np.sort(np.concatenate((tangent, np.tile(circulant, d - k), np.zeros(N))))
 
 
 def linearize(system: LoheSystem, x: np.ndarray) -> LinearizationReport:
     """Summarize the spectra of B and of M = assemble_A at unit rows x.
 
-    B's spectrum is its symmetric solve, split along the span of the rows
-    when they are rank deficient, plus N exact zeros, so beta is
+    B's spectrum (_symmetric_spectrum) comes with N exact zeros, so beta is
     max(lambda_max(B), 0). With every Omega_i zero, M is B exactly, so
     spectrum_A is that spectrum, real and in descending order, and
     kahan_gap is 0. Otherwise spectrum_A is the dense nonsymmetric
     spectrum of M merged with the same N normal zeros, so alpha_re is
     max(Re lambda(M), 0). Raises ValueError when x is not finite or a
-    row's norm is off 1 by more than 1e-9, since B's formula and its
-    tangent split both need unit rows.
+    row's norm is off 1 by more than 1e-9, since B's formula needs unit
+    rows.
     """
     x = _check_state(system, x)
     if not np.all(np.isfinite(x)):

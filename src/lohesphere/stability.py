@@ -28,6 +28,8 @@ from .spectral import LinearizationReport, linearize
 # spectral radius: at a synchronized state it is 0 up to the eigensolver's
 # rounding, whose sign means nothing.
 ALPHA_RTOL = 1e-12
+# A hull distance at or below this counts as zero: the configuration is dispersed.
+DISPERSED_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class DispersedReport:
     witness: np.ndarray | None
 
 
-def is_dispersed(x: np.ndarray, tol: float = 1e-9) -> DispersedReport:
+def is_dispersed(x: np.ndarray) -> DispersedReport:
     """Test whether no open hemisphere contains all agents.
 
     Equivalent to the origin lying in the convex hull of the points.
@@ -57,7 +59,7 @@ def is_dispersed(x: np.ndarray, tol: float = 1e-9) -> DispersedReport:
         raise ValueError(f"expected (N, d) configuration, got shape {x.shape}")
     p, _ = hull.min_norm_point(x)
     nrm = float(np.linalg.norm(p))
-    if nrm <= tol:
+    if nrm <= DISPERSED_TOL:
         return DispersedReport(dispersed=True, hull_min_norm=nrm, witness=None)
     return DispersedReport(dispersed=False, hull_min_norm=nrm, witness=p / nrm)
 

@@ -404,6 +404,26 @@ def test_oversized_runs_exit_2_before_building(tmp_path, capsys, monkeypatch, co
     assert "more than" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, over", [
+    ("simulate", {}),
+    ("linearize", {"init": {"mode": "twisted", "q": 1}}),
+    ("sweep", {"sweep": {"var": "K", "values": [1.0]}}),
+])
+@pytest.mark.parametrize("out", ["no_such_dir/run", "cfg.json/run"])
+def test_out_outside_a_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                         over, out):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run with an unwritable out started work")
+
+    monkeypatch.setattr(cli, "_build_all", refuse)
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, _base_cfg(**over))
+    assert main([command, "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not a writable directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_simulate_runs_a_path_whose_weight_matrix_would_not_fit(tmp_path, capsys, monkeypatch):
     # a dense W would hold 4e8 entries (3.2 GB); the field takes segment sums over the edges.
     # A cohesive start keeps sync_radius on its min-norm point, with no hull expansion.

@@ -84,3 +84,30 @@ def test_no_module_imports_a_name_it_never_uses():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_every_private_top_level_name_is_used_in_the_package():
+    # a top-level _name that no module of the package reads is dead code
+    trees = [ast.parse(p.read_text()) for p in sorted((SRC / "lohesphere").glob("*.py"))]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    unused = []
+    for path, tree in zip(sorted((SRC / "lohesphere").glob("*.py")), trees):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in used]
+    assert unused == []

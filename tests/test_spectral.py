@@ -594,7 +594,7 @@ def _rank_k_cases():
     # i -> i+1 maps the case to itself: one agent, and two agents on their
     # one edge (y_1 = R y_0 and y_0 = R y_1 for the reflection R that swaps
     # them) and twisted states are; the random graphs on 5 and 13 agents are
-    # not, and keep the dense planar split covered.
+    # not, and keep the one dense solve of B covered.
     rng = np.random.default_rng(2029)
     for d in (3, 4, 5):
         for k in range(1, d):
@@ -623,9 +623,9 @@ def _solved_sizes(mp):
     return sizes
 
 
-def _dense_sizes(N, k, d):
-    # the tangent block of the k-dimensional coordinates, then the graph matrix when k < d
-    return [(N * (k - 1), N * (k - 1))] + ([(N, N)] if k < d else [])
+def _dense_sizes(N, d):
+    # the one symmetric solve of B at x, whatever the rank of x
+    return [(N * (d - 1), N * (d - 1))]
 
 
 def test_symmetric_spectrum_split_is_the_dense_spectrum_of_B(monkeypatch):
@@ -641,50 +641,37 @@ def test_symmetric_spectrum_split_is_the_dense_spectrum_of_B(monkeypatch):
             sizes = _solved_sizes(mp)
             mp.setattr(np.linalg, "eigvals", _refuse)
             rep = linearize(LoheSystem(g, zero_frequencies(N, n)), x)
-        assert sizes == ([(N, k - 1, k - 1)] if cyclic else _dense_sizes(N, k, n + 1))
+        assert sizes == ([(N, k - 1, k - 1)] if cyclic else _dense_sizes(N, n + 1))
         assert np.max(np.abs(rep.spectrum_A - dense[::-1])) <= 1e-12 * scale
         assert np.count_nonzero(rep.spectrum_A == 0.0) >= N
         drifted = linearize(LoheSystem(g, random_frequencies(rng, N, n, total_norm=0.4)), x)
         assert abs(drifted.beta - dense[-1]) <= 1e-12 * scale
 
 
-def test_planar_homogeneous_certificate_solves_only_n_square_matrices(monkeypatch):
-    N = 40
-    g = _random_graph(np.random.default_rng(2031), N)
-    Q = np.linalg.qr(np.random.default_rng(2032).standard_normal((4, 4)))[0]
-    x = twisted_state(N, 3, 3) @ Q.T
-    eigvalsh = np.linalg.eigvalsh
-
-    def refuse_large(M):
-        if M.shape[0] > N:
-            raise AssertionError(f"solved a {M.shape[0]}-square matrix")
-        return eigvalsh(M)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse_large)
-    monkeypatch.setattr(np.linalg, "eigvals", _refuse)
-    rep = linearize(LoheSystem(g, zero_frequencies(N, 3)), x)
-    assert len(rep.spectrum_A) == N * 4
-
-
 def test_symmetric_spectrum_takes_the_full_rank_path_just_above_the_rank_tolerance(
         monkeypatch):
+    # a cyclic ring lifted off its plane into a circle of latitude whose third singular
+    # value is scale times the rank tolerance: Fourier blocks of the full-rank rows above
+    # the tolerance, of the planar rows below it
     N = 12
-    g = _random_graph(np.random.default_rng(2033), N)
+    g = _circulant_graph(N, (1, 2), 1.3)
     planar = twisted_state(N, 1, 2)
     tol = np.linalg.svd(planar, compute_uv=False)[0] * N * np.finfo(float).eps
     for scale, full_rank in ((4.0, True), (0.125, False)):
         x = planar.copy()
-        x[5] = x[5] + scale * tol * np.array([0.0, 0.0, 1.0])
-        x[5] /= np.linalg.norm(x[5])
+        x[:, 2] = scale * tol / np.sqrt(N)
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
         assert (np.linalg.matrix_rank(x) == 3) == full_rank
         with monkeypatch.context() as mp:
             sizes = _solved_sizes(mp)
             spec = _symmetric_spectrum(g, x)
-        assert sizes == _dense_sizes(N, 3 if full_rank else 2, 3)
+        k = 3 if full_rank else 2
+        assert sizes == [(N, k - 1, k - 1)]
         B = _ambient_B(g, x)
         nB = max(1.0, np.linalg.norm(B, 2))
         assert np.max(np.abs(spec - np.linalg.eigvalsh(B))) <= 1e-12 * nB
-    # at full rank the split is the tangent solve itself, bit for bit
+    # without cyclic symmetry the spectrum is the tangent solve itself, bit for bit
+    g = _random_graph(np.random.default_rng(2033), N)
     x = random_configuration(np.random.default_rng(2034), N, 2)
     tangent = np.linalg.eigvalsh(assemble_B(g, x))
     assert np.array_equal(_symmetric_spectrum(g, x),
@@ -692,25 +679,21 @@ def test_symmetric_spectrum_takes_the_full_rank_path_just_above_the_rank_toleran
 
 
 def test_planar_certificate_holds_one_n_square_matrix_at_a_time():
-    # with one unequal gain the ring takes the planar split: the tangent block is solved
-    # and freed before W - diag(align) is formed from the edge list, and the graph's
-    # dense weight matrix is never built; two live N-square matrices would peak near
-    # 2 N^2 doubles. The ring itself is cyclically symmetric and forms none.
+    # the cyclically symmetric ring takes the Fourier blocks: no N-square matrix is formed
+    # (one would peak near N^2 doubles) and the graph's dense weight matrix is never built
     N = 600
     Q = np.linalg.qr(np.random.default_rng(2035).standard_normal((3, 3)))[0]
     x = twisted_state(N, 1, 2) @ Q.T
-    uneven = from_edge_list(N, [(i + 1, (i + 1) % N + 1, 2.0 if i == 0 else 1.0)
-                                for i in range(N)])
-    for g, limit in ((uneven, 1.5), (cycle_graph(N, gain=1.0), 0.1)):
-        system = LoheSystem(g, zero_frequencies(N, 2))
-        tracemalloc.start()
-        try:
-            rep = linearize(system, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert "weight_matrix" not in g.__dict__
-        assert peak < limit * N * N * 8
+    g = cycle_graph(N, gain=1.0)
+    system = LoheSystem(g, zero_frequencies(N, 2))
+    tracemalloc.start()
+    try:
+        rep = linearize(system, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "weight_matrix" not in g.__dict__
+    assert peak < 0.1 * N * N * 8
     assert rep.beta == pytest.approx(2.0 * (1.0 - np.cos(2.0 * np.pi / N)), rel=1e-6)
 
 
@@ -778,6 +761,6 @@ def test_inputs_without_cyclic_symmetry_take_the_dense_path(monkeypatch):
         with monkeypatch.context() as mp:
             sizes = _solved_sizes(mp)
             spec = _symmetric_spectrum(g, x)
-        assert sizes == _dense_sizes(N, 2, 3)
+        assert sizes == _dense_sizes(N, 3)
         assert np.max(np.abs(spec - np.linalg.eigvalsh(B))) <= 1e-12 * np.linalg.norm(B, 2)
 
