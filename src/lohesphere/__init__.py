@@ -9,13 +9,12 @@ import importlib
 
 _EXPORTS = {name: module for module, names in {
     "dynamics": "LoheSystem disagreement disagreement_gradient extended_rhs hetero_rhs homo_rhs "
-                "kuramoto_rhs random_configuration random_frequencies zero_frequencies",
+                "random_configuration random_frequencies zero_frequencies",
     "geometry": "pairwise_angle",
     "network": "CouplingGraph complete_graph cycle_graph from_edge_list min_gain path_graph",
     "simulate": "EquilibriumResult IntegrationDiverged Trajectory find_equilibrium integrate "
-                "integrate_kuramoto sync_radius",
-    "spectral": "KahanBound LinearizationReport assemble_A assemble_B eigenvalues kahan_bound "
-                "linearize",
+                "sync_radius",
+    "spectral": "LinearizationReport assemble_A assemble_B eigenvalues linearize",
     "stability": "BoundReport DispersedReport bound_f g1 g2 is_dispersed "
                  "lagrange_residual lagrange_roots theorem_rhs twisted_state verify_theorem",
 }.items() for name in names.split()}

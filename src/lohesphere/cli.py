@@ -282,11 +282,20 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> E
     return validate_config(raw)
 
 
-def _require_out_dir(out: str) -> None:
-    """Reject an output prefix whose directory is not an existing, writable directory."""
-    where = os.path.dirname(out) or "."
-    if not (os.path.isdir(where) and os.access(where, os.W_OK)):
-        raise ConfigError(f"out {out!r}: {where!r} is not a writable directory")
+# The files that each command writes, as suffixes of its out prefix.
+OUTPUTS = {"simulate": ("_trajectory.csv", "_final.json"), "linearize": ("_report.json",),
+           "sweep": ("_sweep.csv",)}
+
+
+def _require_out_dir(paths: list) -> None:
+    """Reject an output path whose directory is not an existing, writable directory, or
+    that names an existing directory."""
+    for path in paths:
+        where = os.path.dirname(path) or "."
+        if not (os.path.isdir(where) and os.access(where, os.W_OK)):
+            raise ConfigError(f"output {path!r}: {where!r} is not a writable directory")
+        if os.path.isdir(path):
+            raise ConfigError(f"output {path!r} is a directory")
 
 
 def build_graph(spec: dict) -> CouplingGraph:
@@ -580,7 +589,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, seed=args.seed, out=args.out)
-        _require_out_dir(cfg.out)
+        _require_out_dir([cfg.out + suffix for suffix in OUTPUTS[args.command]])
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg.workers = args.workers

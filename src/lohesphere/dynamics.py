@@ -209,20 +209,6 @@ def _bind_field(terms, uy: np.ndarray, out: np.ndarray, normal: np.ndarray):
     return field
 
 
-def kuramoto_rhs(omega: np.ndarray, graph: CouplingGraph, theta: np.ndarray) -> np.ndarray:
-    """Phase model on the circle: d theta_i/dt = omega_i + sum_j k_ij sin(theta_j - theta_i).
-
-    This is the n = 1 case of the sphere model in the angle chart
-    x_i = (cos theta_i, sin theta_i).
-    """
-    theta = np.asarray(theta, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if theta.shape != (graph.n_nodes,) or omega.shape != (graph.n_nodes,):
-        raise ValueError("dimension mismatch: omega and theta must have one entry per node")
-    diff = theta[None, :] - theta[:, None]
-    return omega + np.einsum("ij,ij->i", graph.weight_matrix, np.sin(diff))
-
-
 def zero_frequencies(n_agents: int, n: int) -> np.ndarray:
     """All-zero frequency set for N agents on the n-sphere."""
     return np.zeros((n_agents, n + 1, n + 1))
@@ -269,26 +255,3 @@ def random_configuration(rng: np.random.Generator, n_agents: int, n: int) -> np.
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
     g = rng.standard_normal((n_agents, n + 1))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def angles_to_configuration(theta: np.ndarray) -> np.ndarray:
-    """Embed circle phases as rows (cos theta_i, sin theta_i)."""
-    theta = np.asarray(theta, dtype=float)
-    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-
-
-def configuration_to_angles(x: np.ndarray) -> np.ndarray:
-    """Inverse chart for points on the 1-sphere, values in (-pi, pi]."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 2:
-        raise ValueError(f"expected shape (N, 2), got {x.shape}")
-    return np.arctan2(x[:, 1], x[:, 0])
-
-
-def kuramoto_frequency_matrix(w: float) -> np.ndarray:
-    """2x2 skew matrix generating rotation at angular speed w.
-
-    In the chart x = (cos theta, sin theta) this matrix produces
-    d theta/dt = w, matching kuramoto_rhs.
-    """
-    return np.array([[0.0, -float(w)], [float(w), 0.0]])

@@ -23,11 +23,11 @@ from .dynamics import (
     _field_terms,
     disagreement,
     hetero_rhs,
-    kuramoto_rhs,
 )
 from .geometry import tangent_basis
 from .network import CouplingGraph
 from .spectral import assemble_A
+from .stability import is_dispersed
 
 
 class IntegrationDiverged(RuntimeError):
@@ -255,49 +255,18 @@ def integrate(
     )
 
 
-def integrate_kuramoto(
-    omega: np.ndarray,
-    graph: CouplingGraph,
-    theta0: np.ndarray,
-    dt: float = 1e-3,
-    t_end: float = 10.0,
-    sample_every: int = 1,
-):
-    """RK4 for the circle phase model; returns (times, angles) arrays."""
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be > 0")
-    stack = np.zeros((5, len(theta0)))
-    stack[0] = theta0
-    buf = np.empty(len(theta0))
-
-    def stage(k, th):
-        return lambda: np.copyto(k, kuramoto_rhs(omega, graph, th))
-
-    stages = [stage(stack[1], stack[0])] + [stage(stack[s], buf) for s in (2, 3, 4)]
-
-    n_steps = int(math.ceil(t_end / dt - 1e-12))
-    times = [0.0]
-    out = [stack[0].copy()]
-    for step in range(1, n_steps + 1):
-        h = dt if step < n_steps else (t_end - dt * (n_steps - 1))
-        stack[0] = _rk4_step(stages, stack, _rk4_tableau(h), buf)
-        if step % sample_every == 0 or step == n_steps:
-            times.append(t_end if step == n_steps else step * dt)
-            out.append(stack[0].copy())
-    return np.array(times), np.array(out)
-
-
 def sync_radius(x: np.ndarray) -> float:
     """Angular radius of the smallest spherical cap containing all agents.
 
-    Defined as arccos of max over unit y of min_i <x_i, y>. With p the
-    hull minimum-norm point: when p != 0 and every agent lies strictly on
-    the positive side of y = p/|p| (cohesive), it is arccos(min_i <x_i, y>)
-    by LP duality. Otherwise the origin lies in the hull K of the agents
-    (dispersed) and it is pi/2 + arcsin(hull.boundary_distance), exactly
-    pi/2 for a flat K or the origin on its boundary. Exact unless the
-    boundary search passes hull.MAX_FACETS (high dimension only).
-    Deterministic in x; the result lies in [0, pi].
+    Defined as arccos of max over unit y of min_i <x_i, y>. The verdict
+    and the witness y come from stability.is_dispersed, so the radius is
+    below pi/2 exactly when that reports cohesive: it is then
+    arccos(min_i <x_i, y>) by LP duality. Otherwise the origin lies in the
+    hull K of the agents, to rounding, and it is
+    pi/2 + arcsin(hull.boundary_distance), exactly pi/2 for a flat K or the
+    origin on its boundary. Exact unless the boundary search passes
+    hull.MAX_FACETS (high dimension only). Deterministic in x; the result
+    lies in [0, pi].
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -305,12 +274,9 @@ def sync_radius(x: np.ndarray) -> float:
     if x.shape[0] == 1:
         return 0.0
 
-    p, _ = hull.min_norm_point(x)
-    pn = np.linalg.norm(p)
-    if pn > 0:
-        v = float(np.min(x @ (p / pn)))
-        if v > 0:
-            return float(np.arccos(min(v, 1.0)))
+    witness = is_dispersed(x).witness
+    if witness is not None:
+        return float(np.arccos(min(float(np.min(x @ witness)), 1.0)))
     rho = hull.boundary_distance(x)
     return math.pi / 2 + math.asin(min(max(rho, 0.0), 1.0))
 

@@ -33,16 +33,14 @@ heterogeneous systems pay for the dense nonsymmetric solve of M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import LoheSystem, extended_rhs, frequency_total_norm
-from .dynamics import _check_config, _check_skew, _check_state, _check_unit_rows
+from .dynamics import _check_config, _check_state, _check_unit_rows
 from .geometry import tangent_basis
 from .network import CouplingGraph
 
-SYM_TOL = 1e-10
 # y_(i+1) - R y_i within this many times max(N, k) ulps counts as a cyclic symmetry.
 CYCLIC_TOL = 8
 
@@ -112,15 +110,6 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
     return _descending(np.linalg.eigvals(M))
 
 
-def symmetric_top_eigenvalue(B: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix (symmetric solver)."""
-    B = np.asarray(B, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(B))))
-    if np.max(np.abs(B - B.T)) > SYM_TOL * scale:
-        raise ValueError("matrix is not symmetric")
-    return float(np.linalg.eigvalsh(B)[-1])
-
-
 def fd_jacobian(system: LoheSystem, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference Jacobian of the ambient extension field at x.
 
@@ -140,31 +129,6 @@ def fd_jacobian(system: LoheSystem, x: np.ndarray, h: float = 1e-5) -> np.ndarra
         fm = extended_rhs(system, (flat - bump).reshape(N, d))
         J[:, e] = (fp - fm).reshape(m) / (2.0 * h)
     return J
-
-
-class KahanBound(NamedTuple):
-    gap: float
-    bound: float
-    holds: bool
-
-
-def kahan_bound(B: np.ndarray, Y: np.ndarray, slack: float = 1e-8) -> KahanBound:
-    """Check |lambda_max(B) - abscissa(B + Y)| <= |Y|_2 for symmetric B, skew Y.
-
-    Returns the measured gap, the bound |Y|_2, and whether the inequality
-    holds within slack. Raises if B is not symmetric within SYM_TOL or Y
-    is not skew-symmetric within SKEW_TOL.
-    """
-    B = np.asarray(B, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if B.shape != Y.shape or B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError(f"B and Y must be square with equal shape, got {B.shape} and {Y.shape}")
-    _check_skew(Y, "Y")
-    lam = symmetric_top_eigenvalue(B)
-    absc = float(eigenvalues(B + Y)[0].real)
-    gap = abs(lam - absc)
-    bound = float(np.linalg.norm(Y, 2))
-    return KahanBound(gap=gap, bound=bound, holds=gap <= bound + slack)
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,9 @@ class DispersedReport:
     """Outcome of the hemisphere test.
 
     hull_min_norm is the distance from the origin to the convex hull of
-    the agent points; dispersed means it is zero to tolerance. witness
-    is a unit vector with <x_i, witness> > 0 for all agents when the
-    configuration is cohesive, None otherwise.
+    the agent points. witness is a unit vector with <x_i, witness> > 0 for
+    all agents when the configuration is cohesive, None when it is
+    dispersed.
     """
 
     dispersed: bool
@@ -50,8 +50,11 @@ class DispersedReport:
 def is_dispersed(x: np.ndarray) -> DispersedReport:
     """Test whether no open hemisphere contains all agents.
 
-    Equivalent to the origin lying in the convex hull of the points.
-    Configurations with the origin exactly on the hull boundary count as
+    Equivalent to the origin lying in the convex hull of the points. With p
+    the hull minimum-norm point, the configuration is cohesive only when
+    |p| > DISPERSED_TOL and every agent lies strictly on the positive side
+    of the witness p/|p|; otherwise it is dispersed, so configurations with
+    the origin on the hull boundary, or within rounding of it, count as
     dispersed.
     """
     x = np.asarray(x, dtype=float)
@@ -59,9 +62,11 @@ def is_dispersed(x: np.ndarray) -> DispersedReport:
         raise ValueError(f"expected (N, d) configuration, got shape {x.shape}")
     p, _ = hull.min_norm_point(x)
     nrm = float(np.linalg.norm(p))
-    if nrm <= DISPERSED_TOL:
-        return DispersedReport(dispersed=True, hull_min_norm=nrm, witness=None)
-    return DispersedReport(dispersed=False, hull_min_norm=nrm, witness=p / nrm)
+    if nrm > DISPERSED_TOL:
+        witness = p / nrm
+        if np.min(x @ witness) > 0:
+            return DispersedReport(dispersed=False, hull_min_norm=nrm, witness=witness)
+    return DispersedReport(dispersed=True, hull_min_norm=nrm, witness=None)
 
 
 def bound_f(graph: CouplingGraph, x: np.ndarray, n: int) -> float:

@@ -14,27 +14,27 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from lohesphere.dynamics import (
-    LoheSystem,
+from _oracles import (
     angles_to_configuration,
     configuration_to_angles,
+    integrate_kuramoto,
+    kahan_bound,
+    kuramoto_frequency_matrix,
+)
+from lohesphere.dynamics import (
+    LoheSystem,
     disagreement,
     disagreement_gradient,
     hetero_rhs,
     homo_rhs,
-    kuramoto_frequency_matrix,
     random_configuration,
     random_frequencies,
     zero_frequencies,
 )
 from lohesphere.geometry import tangent_basis
 from lohesphere.network import CouplingGraph, cycle_graph, path_graph
-from lohesphere.simulate import integrate, integrate_kuramoto, sync_radius
-from lohesphere.spectral import (
-    assemble_A,
-    fd_jacobian,
-    kahan_bound,
-)
+from lohesphere.simulate import integrate, sync_radius
+from lohesphere.spectral import assemble_A, fd_jacobian
 from lohesphere.stability import (
     g1,
     g2,

@@ -424,6 +424,27 @@ def test_out_outside_a_directory_exits_2_before_any_work(tmp_path, capsys, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command, over, output", [
+    ("simulate", {}, "run_trajectory.csv"),
+    ("simulate", {}, "run_final.json"),
+    ("linearize", {"init": {"mode": "twisted", "q": 1}}, "run_report.json"),
+    ("sweep", {"sweep": {"var": "K", "values": [1.0]}}, "run_sweep.csv"),
+])
+def test_an_output_that_is_a_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                               command, over, output):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run whose output is a directory started work")
+
+    monkeypatch.setattr(cli, "_build_all", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / output).mkdir()
+    path = _write(tmp_path, _base_cfg(**over))
+    assert main([command, "--config", path, "--out", "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{output!r} is a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", output])
+
+
 def test_simulate_runs_a_path_whose_weight_matrix_would_not_fit(tmp_path, capsys, monkeypatch):
     # a dense W would hold 4e8 entries (3.2 GB); the field takes segment sums over the edges.
     # A cohesive start keeps sync_radius on its min-norm point, with no hull expansion.

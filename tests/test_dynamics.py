@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from lohesphere.dynamics import (
-    LoheSystem,
+from _oracles import (
     angles_to_configuration,
     configuration_to_angles,
+    kuramoto_frequency_matrix,
+    kuramoto_rhs,
+)
+from lohesphere.dynamics import (
+    LoheSystem,
     disagreement,
     disagreement_gradient,
     extended_rhs,
     frequency_total_norm,
     hetero_rhs,
     homo_rhs,
-    kuramoto_frequency_matrix,
-    kuramoto_rhs,
     random_configuration,
     random_frequencies,
     zero_frequencies,

@@ -86,9 +86,10 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def test_every_private_top_level_name_is_used_in_the_package():
-    # a top-level _name that no module of the package reads is dead code
-    trees = [ast.parse(p.read_text()) for p in sorted((SRC / "lohesphere").glob("*.py"))]
+def _package_trees():
+    """(path, syntax tree) of every module of the package, and every name the package reads."""
+    paths = sorted((SRC / "lohesphere").glob("*.py"))
+    trees = [ast.parse(p.read_text()) for p in paths]
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -98,8 +99,14 @@ def test_every_private_top_level_name_is_used_in_the_package():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(a.name for a in node.names)
+    return list(zip(paths, trees)), used
+
+
+def test_every_private_top_level_name_is_used_in_the_package():
+    # a top-level _name that no module of the package reads is dead code
+    modules, used = _package_trees()
     unused = []
-    for path, tree in zip(sorted((SRC / "lohesphere").glob("*.py")), trees):
+    for path, tree in modules:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -111,3 +118,22 @@ def test_every_private_top_level_name_is_used_in_the_package():
             unused += [f"{path.name}:{node.lineno} {name}" for name in names
                        if name.startswith("_") and not name.startswith("__") and name not in used]
     assert unused == []
+
+
+def test_every_public_top_level_function_or_class_is_exported_read_or_hooked():
+    # a public function or class that the package neither exports nor reads, and that no
+    # benchmark trace hook names, runs in no command: a test-only oracle belongs in tests/
+    modules, used = _package_trees()
+    trace = ast.parse((SRC.parent / "perfbench" / "trace_cli.py").read_text())
+    hooks = next(ast.literal_eval(node.value) for node in trace.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["HOOKS"])
+    hooked = {(module, attr.split(".")[0]) for _, module, attr in hooks}
+    exported = {(module, name) for name, module in lohesphere._EXPORTS.items()}
+    orphans = []
+    for path, tree in modules:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                key = (path.stem, node.name)
+                if key not in exported and key not in hooked and node.name not in used:
+                    orphans.append(f"{path.name}:{node.lineno} {node.name}")
+    assert orphans == []

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from _oracles import integrate_kuramoto, tilted_rings
 from lohesphere import dynamics
 from lohesphere.dynamics import (
     LoheSystem,
@@ -32,7 +33,6 @@ from lohesphere.simulate import (
     _edge_angles,
     find_equilibrium,
     integrate,
-    integrate_kuramoto,
     sync_radius,
 )
 from lohesphere.stability import is_dispersed, twisted_state
@@ -409,6 +409,8 @@ def test_sync_radius_below_half_pi_exactly_when_cohesive():
         r = sync_radius(x)
         assert 0.0 <= r <= math.pi
         assert (r < math.pi / 2) == (not is_dispersed(x).dispersed)
+    for x in tilted_rings():
+        assert (sync_radius(x) < math.pi / 2) == (not is_dispersed(x).dispersed)
 
 
 def _dispersed_radius_oracle(x):

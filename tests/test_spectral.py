@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _oracles import kahan_bound, symmetric_top_eigenvalue
 from lohesphere.dynamics import (
     LoheSystem,
     hetero_rhs,
@@ -27,9 +28,7 @@ from lohesphere.spectral import (
     assemble_B,
     eigenvalues,
     fd_jacobian,
-    kahan_bound,
     linearize,
-    symmetric_top_eigenvalue,
 )
 from lohesphere.stability import twisted_state
 
@@ -628,7 +627,7 @@ def _dense_sizes(N, d):
     return [(N * (d - 1), N * (d - 1))]
 
 
-def test_symmetric_spectrum_split_is_the_dense_spectrum_of_B(monkeypatch):
+def test_rank_deficient_symmetric_spectrum_is_the_dense_spectrum_of_B(monkeypatch):
     rng = np.random.default_rng(2030)
     for g, n, x, cyclic in _rank_k_cases():
         N = g.n_nodes
@@ -678,7 +677,7 @@ def test_symmetric_spectrum_takes_the_full_rank_path_just_above_the_rank_toleran
                           np.sort(np.concatenate((tangent, np.zeros(N)))))
 
 
-def test_planar_certificate_holds_one_n_square_matrix_at_a_time():
+def test_cyclic_ring_certificate_forms_no_n_square_matrix():
     # the cyclically symmetric ring takes the Fourier blocks: no N-square matrix is formed
     # (one would peak near N^2 doubles) and the graph's dense weight matrix is never built
     N = 600

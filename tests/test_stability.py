@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import tilted_rings
 from lohesphere.dynamics import (
     LoheSystem,
     homo_rhs,
@@ -79,6 +80,9 @@ def test_is_dispersed_witness_soundness():
         else:
             assert rep.witness is None
     assert seen_cohesive > 10
+    for x in tilted_rings():
+        rep = is_dispersed(x)
+        assert rep.witness is None if rep.dispersed else np.min(x @ rep.witness) > 0.0
 
 
 def test_bound_f_phase_synced_zero():
